@@ -38,7 +38,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use virec_core::CoreConfig;
 use virec_mem::{FabricConfig, FabricTopology};
-use virec_sim::runner::{run_single, RunOptions};
+use virec_sim::runner::{try_run_single, RunOptions};
 use virec_sim::RasConfig;
 use virec_workloads::{kernels, Layout, Workload};
 
@@ -114,7 +114,7 @@ fn measure(cfg: CoreConfig, w: &Workload, fabric: FabricConfig, iters: u32) -> [
         let mut best = f64::INFINITY;
         for i in 0..=iters {
             let start = Instant::now();
-            let res = std::hint::black_box(run_single(cfg, w, o));
+            let res = std::hint::black_box(try_run_single(cfg, w, o).expect("run verifies"));
             let secs = start.elapsed().as_secs_f64();
             cycles = res.stats.cycles;
             if i > 0 {

@@ -22,7 +22,7 @@ use virec_isa::{FlatMem, Reg};
 use virec_mem::{Fabric, FabricConfig};
 use virec_sim::experiment::{CellData, ExperimentSpec};
 use virec_sim::report::Table;
-use virec_sim::{RunDiagnostics, SimError};
+use virec_sim::{Machine, RunOptions, SimError};
 use virec_workloads::gather_cc_ir;
 
 const REGION_BASE: u64 = 0x1000;
@@ -63,22 +63,11 @@ fn run_budget(
             FRAME_BASE + th as u64 * 0x100,
         );
     }
-    let cfg = CoreConfig::virec(nthreads, phys);
-    let mut core = Core::new(cfg, c.program.clone(), region, CODE_BASE, (0, 1));
-    let mut fabric = Fabric::new(FabricConfig::default());
-    let mut now = 0u64;
-    while !core.done() {
-        fabric.tick(now);
-        core.tick(now, &mut fabric, &mut mem);
-        now += 1;
-        if now >= CYCLE_CAP {
-            return Err(SimError::CycleBudgetExceeded {
-                budget: CYCLE_CAP,
-                diag: RunDiagnostics::capture("gather_cc", &core, now),
-            });
-        }
-    }
-    core.finalize_stats();
+    let mut cfg = CoreConfig::virec(nthreads, phys);
+    cfg.max_cycles = CYCLE_CAP;
+    let core = Core::new(cfg, c.program.clone(), region, CODE_BASE, (0, 1));
+    let mut m = Machine::new(vec![core], Fabric::new(FabricConfig::default()), mem);
+    let cycles = m.run(&mut (), &RunOptions::default(), &["gather_cc"])?;
     Ok(CellData::metrics([
         ("spilled", c.spilled as f64),
         ("spill_loads", c.spill_loads as f64),
@@ -86,8 +75,8 @@ fn run_budget(
         ("static_instrs", c.program.len() as f64),
         ("active_ctx", active as f64),
         ("virec_regs", phys as f64),
-        ("cycles", now as f64),
-        ("ipc", core.stats().ipc()),
+        ("cycles", cycles as f64),
+        ("ipc", m.cores[0].stats().ipc()),
     ]))
 }
 

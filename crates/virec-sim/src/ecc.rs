@@ -118,6 +118,47 @@ pub fn secded_decode(data: u64, check: u8) -> SecDedOutcome {
     }
 }
 
+/// What a word's check bits make of a flip.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WordVerdict {
+    /// SEC-DED repaired a single-bit flip in place: the stored word is
+    /// intact.
+    Corrected,
+    /// No check bits: the flip lands.
+    Applied,
+    /// Detected but uncorrectable (an odd-weight flip under parity, a
+    /// double-bit flip under SEC-DED): the word is untouched, and no
+    /// consumer may read it.
+    Detected,
+    /// The flip defeats the check bits unseen — an even-weight flip under
+    /// parity, three or more bits under SEC-DED — and lands.
+    PassedThrough,
+}
+
+/// The verdict of `level`'s check bits on flipping the nonzero `mask` in
+/// the stored `word`. SEC-DED runs the real (72,64) codec against the real
+/// word, so the model is grounded in the code rather than a flip count.
+/// Each caller keeps its own counters and messages.
+pub fn word_verdict(level: ProtectionLevel, word: u64, mask: u64) -> WordVerdict {
+    match level {
+        ProtectionLevel::None => WordVerdict::Applied,
+        ProtectionLevel::Parity if mask.count_ones() % 2 == 1 => WordVerdict::Detected,
+        ProtectionLevel::Parity => WordVerdict::PassedThrough,
+        ProtectionLevel::SecDed if mask.count_ones() > 2 => WordVerdict::PassedThrough,
+        ProtectionLevel::SecDed => match secded_decode(word ^ mask, secded_encode(word)) {
+            SecDedOutcome::DoubleError => WordVerdict::Detected,
+            outcome => {
+                debug_assert_eq!(
+                    outcome,
+                    SecDedOutcome::CorrectedData(word),
+                    "SEC-DED must restore the stored word"
+                );
+                WordVerdict::Corrected
+            }
+        },
+    }
+}
+
 /// Even-parity bit of a 64-bit word (the one extra bit a parity-protected
 /// CAM entry stores).
 pub fn parity_bit(data: u64) -> u8 {

@@ -4,9 +4,7 @@
 //! divergence, a wedged golden run, or a detected injected fault — is a
 //! [`SimError`] variant carrying a [`RunDiagnostics`] snapshot of the core
 //! at the moment of failure. `Display` renders a structured one-liner
-//! suitable for logs and the CLI; the panicking wrappers (`run_single`,
-//! `System::run`) forward that same line, so `#[should_panic]` expectations
-//! written against the old assertion messages keep matching.
+//! suitable for logs and the CLI.
 
 use virec_core::{Core, CoreConfig, EngineKind, PolicyKind};
 use virec_isa::Reg;

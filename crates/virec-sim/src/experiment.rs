@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use crate::cancel::{CancelToken, RunGate};
 use crate::error::SimError;
 use crate::journal::{self, JournalConfig};
-use crate::runner::{try_run_prefetch_exact_gated, try_run_single, RunOptions, RunResult};
+use crate::runner::{try_run_prefetch_exact, try_run_single, RunOptions, RunResult};
 use crate::system::{System, SystemConfig, SystemResult};
 use virec_core::CoreConfig;
 use virec_mem::FabricConfig;
@@ -968,14 +968,18 @@ fn execute_cell(
                 fabric,
             } => {
                 let w = build();
-                try_run_prefetch_exact_gated(*nthreads, *regs_per_thread, &w, *fabric, gate)
+                try_run_prefetch_exact(*nthreads, *regs_per_thread, &w, *fabric, gate)
                     .map(|r| CellData::Run(Box::new(r)))
             }
             Job::System { cfg, ctor, n } => {
                 let mut cfg = *cfg;
                 cfg.core.max_cycles = cfg.core.max_cycles.saturating_mul(scale);
-                System::new(cfg, *ctor, *n)
-                    .try_run_gated(gate)
+                let opts = RunOptions {
+                    gate: gate.clone(),
+                    ..RunOptions::default()
+                };
+                System::try_new(cfg, *ctor, *n)?
+                    .try_run_with(&opts)
                     .map(|r| CellData::System(Box::new(r)))
             }
             Job::Custom(f) => f(&CellCtx {
@@ -1105,6 +1109,12 @@ mod tests {
             &RunOptions::default(),
         );
         spec.custom("panics", |_| panic!("boom"));
+        let empty = SystemConfig {
+            ncores: 0,
+            core: CoreConfig::banked(2),
+            fabric: FabricConfig::default(),
+        };
+        spec.system("no_cores", empty, kernels::spatter::gather, 64);
         let res = Executor::new(3).run(&spec);
         match &res.cell("starved").outcome {
             CellOutcome::Failed { kind, retried, .. } => {
@@ -1120,10 +1130,14 @@ mod tests {
             }
             other => panic!("panicking cell must fail: {other:?}"),
         }
+        match &res.cell("no_cores").outcome {
+            CellOutcome::Failed { kind, .. } => assert_eq!(*kind, "config"),
+            other => panic!("a zero-core system must be a config row: {other:?}"),
+        }
         assert!(res.run("healthy").is_some(), "siblings must complete");
-        assert_eq!(res.failed(), 2);
+        assert_eq!(res.failed(), 3);
         assert!(!res.all_ok());
-        assert_eq!(res.failures().len(), 2);
+        assert_eq!(res.failures().len(), 3);
     }
 
     #[test]

@@ -10,15 +10,20 @@
 //! * [`offload`] — the host side: writes initial register contexts into the
 //!   reserved region of memory, the image ViReC's fills read on first
 //!   schedule.
-//! * [`runner`] — single-core experiments with optional golden verification
-//!   and oracle recording for exact-context prefetching.
-//! * [`system`] — multi-core systems sharing the fabric (Figure 11).
+//! * [`machine`] — the one step loop: N cores, the shared fabric and the
+//!   memory image, ticked densely or skipped to the next event, with a
+//!   generic cycle hook for fault injection, checkpoints and scrubbing.
+//! * [`runner`] — single-core experiments (a 1-core [`Machine`]) with
+//!   optional golden verification and oracle recording for exact-context
+//!   prefetching.
+//! * [`system`] — multi-core systems sharing the fabric (Figure 11), an
+//!   N-core [`Machine`].
 //! * [`experiment`] — the declarative experiment layer: keyed cell grids
 //!   ([`ExperimentSpec`]) executed by a worker-pool [`Executor`] with
 //!   deterministic collection and JSON result emission.
 //! * [`report`] — plain-text table/CSV emission for the figure binaries.
 //! * [`error`] — typed simulation errors ([`SimError`]) with per-run
-//!   diagnostics; every runner has a `try_` form returning `Result`.
+//!   diagnostics; every entry point returns `Result`.
 //! * [`watchdog`] — forward-progress monitoring that separates livelock
 //!   from slow runs.
 //! * [`fault`] — deterministic seeded fault injection and campaign
@@ -41,6 +46,7 @@ pub mod error;
 pub mod experiment;
 pub mod fault;
 pub mod journal;
+pub mod machine;
 pub mod offload;
 pub mod ras;
 pub mod report;
@@ -61,10 +67,11 @@ pub use fault::{
     FaultEvent, FaultPlan, FaultSite, InjectionOutcome, InjectionRecord,
 };
 pub use journal::JournalConfig;
+pub use machine::{CycleHook, Machine};
 pub use ras::{CeTracker, RasConfig, RasStats, RetiredRegion, Scrubber};
 pub use runner::{
-    arch_digest, golden_arch_digest, run_single, try_run_single, try_run_single_traced,
-    try_verify_against_golden, verify_against_golden, RunOptions, RunResult,
+    arch_digest, golden_arch_digest, try_run_single, try_run_single_traced,
+    try_verify_against_golden, RunOptions, RunResult,
 };
 pub use serve::{
     run_service, RejectReason, ServeConfig, ServeFaultPlan, ServeReport, TaskOutcome, TaskService,

@@ -1,20 +1,21 @@
 //! Single-core experiment runner.
 //!
-//! [`try_run_single`] is the fallible core: it drives the cycle loop with a
-//! forward-progress watchdog, applies any scheduled [`FaultPlan`], and
-//! verifies the final architectural state against the golden interpreter,
-//! returning a typed [`SimError`] instead of panicking. [`run_single`] is
-//! the thin panicking wrapper the examples and figure binaries use.
+//! [`try_run_single`] runs a workload on a 1-core [`Machine`]: the shared
+//! step loop supplies the forward-progress watchdog, the budget, the gate
+//! and cycle skipping, while this module's cycle hook applies any scheduled
+//! [`FaultPlan`] through the protection model, keeps the checkpoint ring
+//! and drives the RAS layer. The final architectural state is verified
+//! against the golden interpreter, and every failure is a typed
+//! [`SimError`].
 
-use crate::cancel::{GateTrip, RunGate};
-use crate::ecc::{
-    secded_decode, secded_encode, EccStats, ProtectionConfig, ProtectionLevel, SecDedOutcome,
-};
+use crate::cancel::RunGate;
+use crate::ecc::{word_verdict, EccStats, ProtectionConfig, ProtectionLevel, WordVerdict};
 use crate::error::{DivergenceSite, RunDiagnostics, SimError};
 use crate::fault::{engine_fault_of, FaultEvent, FaultPlan, FaultSite};
+use crate::machine::{CycleHook, Machine};
 use crate::offload::offload;
 use crate::ras::{CeTracker, RasConfig, RasStats, RetiredRegion, Scrubber};
-use crate::watchdog::{Watchdog, DEFAULT_LIVELOCK_CYCLES};
+use crate::watchdog::DEFAULT_LIVELOCK_CYCLES;
 use std::collections::{HashMap, VecDeque};
 use virec_core::engines::ROLLBACK_DEPTH;
 use virec_core::{Core, CoreConfig, CoreStats, EngineKind, OracleSchedule, QuantumTrace};
@@ -31,7 +32,8 @@ pub fn default_checkpoint_interval() -> u64 {
     ROLLBACK_DEPTH as u64 * 256
 }
 
-/// Options for a single-core run.
+/// Options for a single-core run. A [`crate::System`] run reads only
+/// `gate`, `livelock_cycles` and `dense_loop`.
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Fabric (crossbar + DRAM) configuration.
@@ -65,8 +67,7 @@ pub struct RunOptions {
     pub gate: RunGate,
     /// Force the dense cycle-by-cycle loop instead of event-driven cycle
     /// skipping. Both loops produce byte-identical stats and digests; the
-    /// dense loop exists as a differential reference and escape hatch
-    /// (also reachable via the `VIREC_NO_SKIP=1` environment variable).
+    /// dense loop exists as a differential reference.
     pub dense_loop: bool,
     /// RAS layer (patrol scrubber, CE tracker, spare pools) for surviving
     /// persistent faults. `None` (the default) leaves the machine exactly
@@ -92,21 +93,6 @@ impl Default for RunOptions {
             dense_loop: false,
             ras: None,
         }
-    }
-}
-
-/// True when event-driven cycle skipping is disabled, either per-run
-/// ([`RunOptions::dense_loop`]) or process-wide (`VIREC_NO_SKIP=1`).
-pub(crate) fn dense_requested(opt_dense: bool) -> bool {
-    opt_dense || std::env::var_os("VIREC_NO_SKIP").is_some_and(|v| v == "1")
-}
-
-/// Builds the typed error for a tripped gate from a live core snapshot.
-pub(crate) fn deadline_error(trip: GateTrip, workload: &str, core: &Core, cycles: u64) -> SimError {
-    SimError::Deadline {
-        elapsed_ms: trip.elapsed_ms,
-        limit_ms: trip.limit_ms,
-        diag: RunDiagnostics::capture(workload, core, cycles),
     }
 }
 
@@ -147,15 +133,28 @@ impl RunResult {
     }
 }
 
-/// Fallible single-core run: returns a typed error instead of panicking.
+/// Runs `workload` on a single core, returning a typed error instead of
+/// panicking.
 ///
-/// The cycle loop distinguishes *livelock* (no commit for
+/// The step loop distinguishes *livelock* (no commit for
 /// [`RunOptions::livelock_cycles`] — the machine is wedged, reported with a
 /// full pipeline/engine/MSHR dump) from a *slow run* (commits still landing
 /// when `CoreConfig::max_cycles` runs out — a budget problem). If the
 /// options carry a [`FaultPlan`], events are applied at their scheduled
 /// cycles and any subsequent failure is wrapped in
 /// [`SimError::FaultDetected`] so campaign drivers can attribute it.
+///
+/// ```
+/// use virec_core::CoreConfig;
+/// use virec_sim::runner::{try_run_single, RunOptions};
+/// use virec_workloads::{kernels, Layout};
+///
+/// let w = kernels::stream::reduction(256, Layout::for_core(0));
+/// let r = try_run_single(CoreConfig::virec(4, 24), &w, &RunOptions::default())?;
+/// assert!(r.ipc() > 0.0);
+/// assert!(r.stats.instructions > 256);
+/// # Ok::<(), virec_sim::SimError>(())
+/// ```
 pub fn try_run_single(
     cfg: CoreConfig,
     workload: &Workload,
@@ -213,858 +212,673 @@ fn try_run_single_impl(
     if want_trace {
         core.enable_quantum_trace();
     }
-
-    let mut fabric = Fabric::new(opts.fabric);
-    let mut watchdog = Watchdog::new(opts.livelock_cycles);
-    let mut pending: Vec<FaultEvent> = opts.faults.events.clone();
-    let mut faults_applied: Vec<String> = Vec::new();
-    let mut ecc = EccStats::default();
-    let mut checkpoints: VecDeque<Checkpoint> = VecDeque::new();
-    let ckpt_interval = opts.checkpoint_interval;
-    let ckpt_depth = opts.checkpoint_depth.max(1);
-
-    // RAS state lives *outside* the checkpoint ring: a physical repair
-    // (a masked way, a remapped row) survives an architectural rollback.
-    // Restores clone the machine from the ring, so the retirement log is
-    // replayed onto every restored clone.
-    let mut ras = RasStats::default();
-    let mut tracker = CeTracker::new(
-        opts.ras.map_or(1, |rc| rc.ce_threshold),
-        opts.ras.map_or(0, |rc| rc.ce_leak_interval),
-    );
-    let mut scrubber = opts.ras.and_then(|rc| {
-        (rc.scrub_interval > 0).then(|| {
-            Scrubber::new(vec![
-                (region.base, region.size()),
-                (workload.layout.data_base, workload.layout.data_size),
-            ])
-        })
-    });
-    let mut retired_log: Vec<RetiredRegion> = Vec::new();
-    let mut retired_families: Vec<(FaultSite, u64)> = Vec::new();
-    let mut due_restores: HashMap<(FaultSite, u64), u32> = HashMap::new();
+    let mut m = Machine::new(vec![core], Fabric::new(opts.fabric), mem);
     if let Some(rc) = &opts.ras {
-        fabric.provision_spare_rows(rc.spare_rows);
-    }
-    let wrap = |e: SimError, applied: &[String]| -> SimError {
-        if applied.is_empty() {
-            e
-        } else {
-            let diag = Box::new(e.diagnostics().clone());
-            SimError::FaultDetected {
-                faults: applied.to_vec(),
-                cause: Box::new(e),
-                diag,
-            }
-        }
-    };
-
-    // Check the gate once up front so a pre-cancelled run (e.g. a SIGINT
-    // abort that lands between cells) trips deterministically even when
-    // the workload would finish in under one poll interval.
-    if let Some(trip) = opts.gate.trip() {
-        return Err(wrap(
-            deadline_error(trip, workload.name, &core, 0),
-            &faults_applied,
-        ));
+        m.fabric.provision_spare_rows(rc.spare_rows);
     }
 
-    let dense = dense_requested(opts.dense_loop);
-    let mut next_poll = 0u64;
-    let mut checkpoint_clone_ns = 0u64;
+    let mut faults = FaultLayer::new(workload, opts, region.base, region.size());
+    let finished = m
+        .run(&mut faults, opts, &[workload.name])
+        .and_then(|cycles| {
+            let core = &m.cores[0];
+            let digest = arch_digest(core, &m.mem, workload, cfg.nthreads);
+            if opts.verify {
+                try_verify_against_golden(workload, cfg.nthreads, core, &m.mem, cycles)?;
+            }
+            Ok((cycles, digest))
+        });
+    let (cycles, arch_digest) = finished.map_err(|e| faults.wrap(e))?;
 
-    let mut now = 0u64;
-    while !core.done() {
-        if let Some(trip) = opts.gate.poll_due(now, &mut next_poll) {
-            return Err(wrap(
-                deadline_error(trip, workload.name, &core, now),
-                &faults_applied,
-            ));
-        }
-        if ckpt_interval > 0 && now.is_multiple_of(ckpt_interval) {
-            let snap_start = std::time::Instant::now();
-            if checkpoints.len() == ckpt_depth {
-                // Swap-and-overwrite: recycle the evicted ring slot's heap
-                // buffers (memory image, cache arrays, queues) instead of
-                // reallocating a full deep copy for every snapshot. Only
-                // the boxed engine is necessarily a fresh allocation.
-                let mut slot = checkpoints.pop_front().expect("ring is non-empty at depth");
-                slot.cycle = now;
-                slot.core.clone_from(&core);
-                slot.fabric.clone_from(&fabric);
-                slot.mem.clone_from(&mem);
-                slot.pending.clone_from(&pending);
-                slot.faults_applied.clone_from(&faults_applied);
-                slot.ecc = ecc;
-                checkpoints.push_back(slot);
-            } else {
-                checkpoints.push_back(Checkpoint {
-                    cycle: now,
-                    core: core.clone(),
-                    fabric: fabric.clone(),
-                    mem: mem.clone(),
-                    pending: pending.clone(),
-                    faults_applied: faults_applied.clone(),
-                    ecc,
-                });
-            }
-            checkpoint_clone_ns += snap_start.elapsed().as_nanos() as u64;
-            ecc.checkpoints_taken += 1;
-        }
-        if let (Some(rc), Some(sc)) = (&opts.ras, scrubber.as_mut()) {
-            if now.is_multiple_of(rc.scrub_interval) {
-                if let Some(addr) = sc.next_line() {
-                    // Patrol read: a real fabric request that occupies the
-                    // target bank like demand traffic — scrubbing is not
-                    // free bandwidth.
-                    fabric.submit_scrub(now, addr);
-                    ras.scrub_reads += 1;
-                    // Patrol detection: a persistent defect whose cells
-                    // sit in the line just scrubbed registers a
-                    // correctable error with the CE tracker before demand
-                    // traffic trips over it.
-                    let line = addr & !(virec_mem::LINE_BYTES - 1);
-                    let mut hits: Vec<(FaultEvent, u64)> = Vec::new();
-                    for ev in &pending {
-                        if ev.class.is_persistent()
-                            && matches!(ev.site, FaultSite::BackingReg | FaultSite::DramLine)
-                        {
-                            if let Some((waddr, _)) =
-                                word_target(ev, &core, &fabric, &mem, workload)
-                            {
-                                if waddr & !(virec_mem::LINE_BYTES - 1) == line {
-                                    hits.push((*ev, waddr));
-                                }
-                            }
-                        }
-                    }
-                    let mut seen: Vec<(FaultSite, u64)> = Vec::new();
-                    for (ev, waddr) in hits {
-                        let fam = ev.family();
-                        if seen.contains(&fam) || retired_families.contains(&fam) {
-                            continue;
-                        }
-                        seen.push(fam);
-                        ras.ce_observations += 1;
-                        let key = fabric.row_key(waddr);
-                        if tracker.observe(key, now) {
-                            tracker.clear(key);
-                            ras.predictive_retirements += 1;
-                            ras_retire_family(
-                                &ev,
-                                Some(waddr),
-                                &mut core,
-                                &mut fabric,
-                                &mut mem,
-                                now,
-                                &mut ras,
-                                &mut retired_log,
-                                &mut faults_applied,
-                            );
-                            retired_families.push(fam);
-                            pending.retain(|e| e.family() != fam);
-                        }
-                    }
-                }
-            }
-        }
-        fabric.tick(now);
-        core.tick(now, &mut fabric, &mut mem);
-
-        if let Some(detail) = core.structural_fault() {
-            let e = SimError::StructuralHazard {
-                detail: detail.to_string(),
-                diag: RunDiagnostics::capture(workload.name, &core, now),
-            };
-            return Err(wrap(e, &faults_applied));
-        }
-        // NoC watchdog: a flit past its age cap or out of retransmission
-        // budget means the interconnect can no longer guarantee delivery —
-        // a structural hazard, not a hang.
-        if let Some(detail) = fabric.noc_fault().map(str::to_string) {
-            let e = SimError::StructuralHazard {
-                detail,
-                diag: RunDiagnostics::capture(workload.name, &core, now),
-            };
-            return Err(wrap(e, &faults_applied));
-        }
-
-        if !pending.is_empty() {
-            // Collect every event due this cycle, then group the ones that
-            // hit the same word of the same site — that is a multi-bit
-            // upset, and the protection model must see it whole (a
-            // double-bit flip is one DUE, not two correctable singles).
-            let mut due: Vec<FaultEvent> = Vec::new();
-            let mut i = 0;
-            while i < pending.len() {
-                if pending[i].cycle <= now {
-                    let ev = pending.swap_remove(i);
-                    if retired_families.contains(&ev.family()) {
-                        // The region is out of service — its cells are no
-                        // longer wired to anything. The assertion is
-                        // dropped and the family is not re-armed.
-                        ras.suppressed_assertions += 1;
-                        continue;
-                    }
-                    // Persistent classes re-assert: schedule the next
-                    // firing up front so the skip loop's pending-fault cap
-                    // covers it like any scheduled event.
-                    if let Some((period, next)) = ev.class.rearm() {
-                        pending.push(FaultEvent {
-                            cycle: now + period,
-                            class: next,
-                            ..ev
-                        });
-                    }
-                    due.push(ev);
-                } else {
-                    i += 1;
-                }
-            }
-            let mut groups: Vec<Vec<FaultEvent>> = Vec::new();
-            for ev in due {
-                match groups
-                    .iter_mut()
-                    .find(|g| g[0].site == ev.site && g[0].index == ev.index)
-                {
-                    Some(g) => g.push(ev),
-                    None => groups.push(vec![ev]),
-                }
-            }
-            let mut suppress: Vec<FaultEvent> = Vec::new();
-            let mut detected_desc = String::new();
-            for group in &groups {
-                if group[0].site == FaultSite::NocLink {
-                    // Link upsets never reach the word-protection model:
-                    // the per-hop CRC detects the corrupted flit in transit
-                    // and the nack/retransmit protocol delivers a clean
-                    // copy, so the upset is corrected at the link layer.
-                    // Persistent defects charge the link's CE leaky bucket
-                    // toward predictive retirement (route-around) or, when
-                    // no route would survive, degraded fencing.
-                    for ev in group {
-                        let Some(link) = fabric.inject_link_fault(ev.index) else {
-                            // Crossbar topology, or the link is already out
-                            // of service: nothing left to corrupt.
-                            continue;
-                        };
-                        ecc.corrected += 1;
-                        faults_applied.push(format!(
-                            "cycle {now}: noc link {link} upset (crc caught, retransmitted)"
-                        ));
-                        let fam = ev.family();
-                        if opts.ras.is_some()
-                            && ev.class.is_persistent()
-                            && !retired_families.contains(&fam)
-                        {
-                            ras.ce_observations += 1;
-                            let key = (1u64 << 62) | link as u64;
-                            if tracker.observe(key, now) {
-                                tracker.clear(key);
-                                ras.predictive_retirements += 1;
-                                match fabric
-                                    .retire_link(link)
-                                    .expect("mesh confirmed by inject_link_fault")
-                                {
-                                    LinkRetireOutcome::Rerouted => {
-                                        faults_applied.push(format!(
-                                            "cycle {now}: ras retired noc link {link} \
-                                             (rerouted)"
-                                        ));
-                                    }
-                                    LinkRetireOutcome::Fenced => {
-                                        ras.degraded_regions += 1;
-                                        faults_applied.push(format!(
-                                            "cycle {now}: ras fenced noc link {link} \
-                                             (half bandwidth, no surviving route)"
-                                        ));
-                                    }
-                                }
-                                retired_log.push(RetiredRegion::Link { link });
-                                retired_families.push(fam);
-                                pending.retain(|e| e.family() != fam);
-                            }
-                        }
-                    }
-                    continue;
-                }
-                let corrected_before = ecc.corrected;
-                if let Protected::Uncorrectable(desc) = protect_apply_group(
-                    group,
-                    now,
-                    &opts.protection,
-                    &mut core,
-                    &fabric,
-                    &mut mem,
-                    workload,
-                    &mut ecc,
-                    &mut faults_applied,
-                ) {
-                    suppress.extend_from_slice(group);
-                    detected_desc = desc;
-                }
-                // Predictive sparing: every *corrected* assertion of a
-                // persistent defect charges the region's leaky bucket; at
-                // the threshold the region is retired before a second cell
-                // failure can turn correctable into uncorrectable.
-                if opts.ras.is_some()
-                    && ecc.corrected > corrected_before
-                    && group[0].class.is_persistent()
-                {
-                    let fam = group[0].family();
-                    if !retired_families.contains(&fam) {
-                        ras.ce_observations += 1;
-                        let (key, waddr) = match group[0].site {
-                            FaultSite::BackingReg
-                            | FaultSite::DramLine
-                            | FaultSite::FabricResponse => {
-                                match word_target(&group[0], &core, &fabric, &mem, workload) {
-                                    Some((a, _)) => (fabric.row_key(a), Some(a)),
-                                    None => ((1 << 63) | group[0].index, None),
-                                }
-                            }
-                            _ => ((1 << 63) | group[0].index, None),
-                        };
-                        if tracker.observe(key, now) {
-                            tracker.clear(key);
-                            ras.predictive_retirements += 1;
-                            ras_retire_family(
-                                &group[0],
-                                waddr,
-                                &mut core,
-                                &mut fabric,
-                                &mut mem,
-                                now,
-                                &mut ras,
-                                &mut retired_log,
-                                &mut faults_applied,
-                            );
-                            retired_families.push(fam);
-                            pending.retain(|e| e.family() != fam);
-                        }
-                    }
-                }
-            }
-            if !suppress.is_empty() {
-                // Persistent faults cannot be outlived by replay alone —
-                // the cells stay broken. Without the RAS layer the runner
-                // bounds the retry loop: a defect family that trips a
-                // second detected-uncorrectable after a restore fails the
-                // run with a typed error instead of replaying forever.
-                if opts.ras.is_none() {
-                    for fam in suppress
-                        .iter()
-                        .filter(|e| e.class.is_persistent())
-                        .map(FaultEvent::family)
-                    {
-                        let c = due_restores.entry(fam).or_insert(0);
-                        *c += 1;
-                        if *c >= 2 {
-                            let e = SimError::Uncorrectable {
-                                site: fam.0.to_string(),
-                                detail: format!(
-                                    "persistent fault at {} index {} re-asserted after a \
-                                     checkpoint replay; no RAS layer to retire the region",
-                                    fam.0, fam.1
-                                ),
-                                diag: RunDiagnostics::capture(workload.name, &core, now),
-                            };
-                            return Err(wrap(e, &faults_applied));
-                        }
-                    }
-                }
-                match checkpoints.back() {
-                    Some(ck) => {
-                        // Mid-run recovery: rewind to the newest checkpoint
-                        // (snapshotted before this cycle's injection) and
-                        // replay with the detected fault suppressed.
-                        let detect_cycle = now;
-                        core = ck.core.clone();
-                        fabric = ck.fabric.clone();
-                        mem = ck.mem.clone();
-                        pending = ck.pending.clone();
-                        faults_applied = ck.faults_applied.clone();
-                        now = ck.cycle;
-                        // Transient members of the detected group are
-                        // suppressed for the replay; persistent members
-                        // stay armed — only a retirement (below) or the
-                        // bounded-restore tripwire above removes them.
-                        pending.retain(|e| !suppress.contains(e) || e.class.is_persistent());
-                        // Physical repairs survive the rollback: replay the
-                        // retirement log onto the restored clone. Stats are
-                        // not recounted, and spare numbering re-applies in
-                        // log order, hence deterministically.
-                        for r in &retired_log {
-                            match *r {
-                                RetiredRegion::Way { idx, spared } => {
-                                    core.remask_way(idx, spared, &mut fabric, &mut mem);
-                                }
-                                RetiredRegion::Row { addr, .. } => {
-                                    fabric.retire_row(addr);
-                                }
-                                RetiredRegion::Link { link } => {
-                                    // Re-decides rerouted-vs-fenced on the
-                                    // restored fabric; log order makes the
-                                    // outcome deterministic.
-                                    let _ = fabric.retire_link(link);
-                                }
-                            }
-                        }
-                        // Demand retirement: with RAS on, a detected
-                        // uncorrectable in a persistent region retires it
-                        // on the restored machine, so the replay cannot
-                        // trip over the same defect again.
-                        if opts.ras.is_some() {
-                            let mut fams: Vec<FaultEvent> = Vec::new();
-                            for ev in suppress.iter().filter(|e| e.class.is_persistent()) {
-                                if !retired_families.contains(&ev.family())
-                                    && !fams.iter().any(|f| f.family() == ev.family())
-                                {
-                                    fams.push(*ev);
-                                }
-                            }
-                            for ev in fams {
-                                let waddr = word_target(&ev, &core, &fabric, &mem, workload)
-                                    .map(|(a, _)| a);
-                                ras.demand_retirements += 1;
-                                ras_retire_family(
-                                    &ev,
-                                    waddr,
-                                    &mut core,
-                                    &mut fabric,
-                                    &mut mem,
-                                    now,
-                                    &mut ras,
-                                    &mut retired_log,
-                                    &mut faults_applied,
-                                );
-                                retired_families.push(ev.family());
-                            }
-                            pending.retain(|e| !retired_families.contains(&e.family()));
-                        }
-                        // Correction/escape counters rewind with the state
-                        // (re-fired events in the replay window re-count);
-                        // the cumulative recovery counters carry forward.
-                        let (taken, restores, replay) =
-                            (ecc.checkpoints_taken, ecc.restores, ecc.replay_cycles);
-                        ecc = ck.ecc;
-                        ecc.checkpoints_taken = taken;
-                        ecc.detected_uncorrectable += 1;
-                        ecc.restores = restores + 1;
-                        ecc.replay_cycles = replay + (detect_cycle - ck.cycle);
-                        faults_applied.push(format!(
-                            "{detected_desc}; restored checkpoint @ cycle {} (replaying {} cycles)",
-                            ck.cycle,
-                            detect_cycle - ck.cycle
-                        ));
-                        watchdog = Watchdog::new(opts.livelock_cycles);
-                        // The poll schedule rewinds with the clock so the
-                        // replay window stays responsive to cancellation.
-                        next_poll = now;
-                        continue;
-                    }
-                    None => {
-                        let e = SimError::Uncorrectable {
-                            site: suppress[0].site.to_string(),
-                            detail: detected_desc,
-                            diag: RunDiagnostics::capture(workload.name, &core, now),
-                        };
-                        return Err(wrap(e, &faults_applied));
-                    }
-                }
-            }
-        }
-
-        now += 1;
-        if let Err(stalled) = watchdog.observe(now, core.stats().instructions) {
-            let e = SimError::Livelock {
-                stalled_cycles: stalled,
-                dump: core.debug_dump(),
-                diag: RunDiagnostics::capture(workload.name, &core, now),
-            };
-            return Err(wrap(e, &faults_applied));
-        }
-        if now >= cfg.max_cycles {
-            let e = SimError::CycleBudgetExceeded {
-                budget: cfg.max_cycles,
-                diag: RunDiagnostics::capture(workload.name, &core, now),
-            };
-            return Err(wrap(e, &faults_applied));
-        }
-
-        // Event-driven fast-forward (tentpole of the wakeup-scheduled core):
-        // the cycle just ticked was `now - 1`; if no component can do
-        // anything before `wake`, every tick in `[now, wake)` is provably a
-        // no-op and the clock jumps there directly, crediting the span to
-        // the same stall counters the dense loop would have bumped. Wakeups
-        // are capped so scheduled faults, checkpoints, the watchdog's firing
-        // observation, and the cycle budget all land on exactly the cycles
-        // the dense loop gives them.
-        if !dense && !core.done() {
-            let ticked = now - 1;
-            // On a productive cycle the core's answer is exactly `now`
-            // (its fast path); bail before paying for the fabric scan and
-            // the cap arithmetic.
-            let core_next = core.next_event(ticked, &fabric);
-            if core_next == Some(now) {
-                continue;
-            }
-            let mut wake = [core_next, fabric.next_event(ticked)]
-                .into_iter()
-                .flatten()
-                .min()
-                .unwrap_or(u64::MAX);
-            if let Some(deadline) = watchdog.deadline() {
-                // Tick deadline-1; the observation at `deadline` then
-                // reports a stall of exactly the threshold, as dense does.
-                wake = wake.min(deadline - 1);
-            }
-            wake = wake.min(cfg.max_cycles - 1);
-            for ev in &pending {
-                wake = wake.min(ev.cycle);
-            }
-            if ckpt_interval > 0 {
-                wake = wake.min(now.next_multiple_of(ckpt_interval));
-            }
-            if let Some(rc) = &opts.ras {
-                // Scrub wakeups are scheduled events like checkpoints:
-                // the clock must land on every patrol cycle.
-                if scrubber.is_some() {
-                    wake = wake.min(now.next_multiple_of(rc.scrub_interval));
-                }
-            }
-            if wake > now {
-                core.credit_skipped(wake - now);
-                now = wake;
-            }
-        }
-    }
-    core.finalize_stats();
-    core.drain(&mut mem);
-
-    let arch_digest = arch_digest(&core, &mem, workload, cfg.nthreads);
-
-    if opts.verify {
-        if let Err(e) = try_verify_against_golden(workload, cfg.nthreads, &core, &mem, now) {
-            return Err(wrap(e, &faults_applied));
-        }
-    }
-
-    let oracle = core.take_oracle();
-    let trace = core.take_quantum_trace();
+    let core = &mut m.cores[0];
     Ok((
         RunResult {
-            cycles: now,
+            cycles,
             stats: *core.stats(),
-            oracle,
-            faults_applied,
+            oracle: core.take_oracle(),
+            faults_applied: faults.applied,
             arch_digest,
-            ecc,
-            checkpoint_clone_ns,
-            ras,
-            fabric: *fabric.stats(),
+            ecc: faults.ecc,
+            checkpoint_clone_ns: faults.checkpoint_clone_ns,
+            ras: faults.ras,
+            fabric: *m.fabric.stats(),
         },
-        trace,
+        core.take_quantum_trace(),
     ))
 }
 
 /// One entry of the in-memory checkpoint ring: a full deep copy of the
-/// machine (core, fabric, functional memory) plus the injection bookkeeping
-/// needed to replay deterministically from this cycle.
+/// machine plus the injection bookkeeping needed to replay
+/// deterministically from this cycle.
 struct Checkpoint {
     cycle: u64,
-    core: Core,
-    fabric: Fabric,
-    mem: FlatMem,
+    machine: Machine,
     pending: Vec<FaultEvent>,
-    faults_applied: Vec<String>,
+    applied: Vec<String>,
     ecc: EccStats,
 }
 
-/// What the protection model decided about one fault group.
-enum Protected {
-    /// Absorbed (corrected / not applicable) or applied (pass-through,
-    /// parity escape); the run continues.
-    Continue,
-    /// Detected but uncorrectable: the machine was *not* corrupted (the
-    /// detection is precise), and the runner must either restore a
-    /// checkpoint or fail with [`SimError::Uncorrectable`].
-    Uncorrectable(String),
+/// The runner's cycle hook: scheduled fault events routed through the
+/// protection model, the checkpoint ring with rollback and replay, and the
+/// RAS layer (patrol scrubber, CE tracker, retirements). Inert — and
+/// nearly free — for an ordinary run.
+struct FaultLayer<'a> {
+    workload: &'a Workload,
+    opts: &'a RunOptions,
+    pending: Vec<FaultEvent>,
+    /// Descriptions of the faults that landed (and of the recoveries).
+    applied: Vec<String>,
+    ecc: EccStats,
+    checkpoints: VecDeque<Checkpoint>,
+    checkpoint_clone_ns: u64,
+    // RAS state lives *outside* the checkpoint ring: a physical repair (a
+    // masked way, a remapped row) survives an architectural rollback, so
+    // the retirement log is replayed onto every restored machine.
+    ras: RasStats,
+    tracker: CeTracker,
+    scrubber: Option<Scrubber>,
+    retired_log: Vec<RetiredRegion>,
+    retired_families: Vec<(FaultSite, u64)>,
+    due_restores: HashMap<(FaultSite, u64), u32>,
 }
 
-/// Takes the physical region behind one persistent fault family out of
-/// service: masks a VRMU way (activating a spare when provisioned) or
-/// retires a DRAM row through the remap table (consuming a spare row or
-/// fencing onto the shared remnant row). Regions without retirable cells —
-/// control state, transport, a banked engine's register cells — are fenced
-/// logically: the family is dropped and the loss is accounted as degraded
-/// capacity. Migration of a retired row's data is modeled as real
-/// scrub-read traffic through the fabric.
-#[allow(clippy::too_many_arguments)]
-fn ras_retire_family(
-    ev: &FaultEvent,
-    word_addr: Option<u64>,
-    core: &mut Core,
-    fabric: &mut Fabric,
-    mem: &mut FlatMem,
-    now: u64,
-    ras: &mut RasStats,
-    retired_log: &mut Vec<RetiredRegion>,
-    applied: &mut Vec<String>,
-) {
-    match ev.site {
-        FaultSite::TagValue => match core.retire_value_way(ev.index, true, fabric, mem) {
-            Some(w) => {
-                if !w.spared {
-                    ras.degraded_regions += 1;
-                }
-                applied.push(format!("cycle {now}: ras {}", w.desc));
-                retired_log.push(RetiredRegion::Way {
-                    idx: w.idx,
-                    spared: w.spared,
-                });
+impl<'a> FaultLayer<'a> {
+    fn new(
+        workload: &'a Workload,
+        opts: &'a RunOptions,
+        region_base: u64,
+        region_size: u64,
+    ) -> FaultLayer<'a> {
+        FaultLayer {
+            workload,
+            opts,
+            pending: opts.faults.events.clone(),
+            applied: Vec::new(),
+            ecc: EccStats::default(),
+            checkpoints: VecDeque::new(),
+            checkpoint_clone_ns: 0,
+            ras: RasStats::default(),
+            tracker: CeTracker::new(
+                opts.ras.map_or(1, |rc| rc.ce_threshold),
+                opts.ras.map_or(0, |rc| rc.ce_leak_interval),
+            ),
+            scrubber: opts.ras.and_then(|rc| {
+                (rc.scrub_interval > 0).then(|| {
+                    Scrubber::new(vec![
+                        (region_base, region_size),
+                        (workload.layout.data_base, workload.layout.data_size),
+                    ])
+                })
+            }),
+            retired_log: Vec::new(),
+            retired_families: Vec::new(),
+            due_restores: HashMap::new(),
+        }
+    }
+
+    /// Attributes a failure to the injected faults, if any landed.
+    fn wrap(&self, e: SimError) -> SimError {
+        if self.applied.is_empty() {
+            e
+        } else {
+            let diag = Box::new(e.diagnostics().clone());
+            SimError::FaultDetected {
+                faults: self.applied.clone(),
+                cause: Box::new(e),
+                diag,
             }
-            None => {
-                // No maskable way (banked engine) or the store is at its
-                // in-flight floor: fence the family logically and run on
-                // with the capacity loss.
-                ras.degraded_regions += 1;
-                applied.push(format!(
-                    "cycle {now}: ras fenced unmaskable way family index {}",
-                    ev.index
+        }
+    }
+
+    fn checkpoint(&mut self, m: &Machine, now: u64) {
+        let snap_start = std::time::Instant::now();
+        if self.checkpoints.len() == self.opts.checkpoint_depth.max(1) {
+            // Swap-and-overwrite: recycle the evicted ring slot's heap
+            // buffers instead of reallocating a full deep copy for every
+            // snapshot.
+            let mut slot = self.checkpoints.pop_front().expect("ring is non-empty");
+            slot.cycle = now;
+            slot.machine.clone_from(m);
+            slot.pending.clone_from(&self.pending);
+            slot.applied.clone_from(&self.applied);
+            slot.ecc = self.ecc;
+            self.checkpoints.push_back(slot);
+        } else {
+            self.checkpoints.push_back(Checkpoint {
+                cycle: now,
+                machine: m.clone(),
+                pending: self.pending.clone(),
+                applied: self.applied.clone(),
+                ecc: self.ecc,
+            });
+        }
+        self.checkpoint_clone_ns += snap_start.elapsed().as_nanos() as u64;
+        self.ecc.checkpoints_taken += 1;
+    }
+
+    /// One patrol read. A persistent defect whose cells sit in the line
+    /// just scrubbed registers a correctable error with the CE tracker
+    /// before demand traffic trips over it.
+    fn scrub(&mut self, m: &mut Machine, now: u64) {
+        let Some(addr) = self.scrubber.as_mut().and_then(Scrubber::next_line) else {
+            return;
+        };
+        // A real fabric request that occupies the target bank like demand
+        // traffic — scrubbing is not free bandwidth.
+        m.fabric.submit_scrub(now, addr);
+        self.ras.scrub_reads += 1;
+        // The first pending assertion of each live persistent family whose
+        // word sits in the scrubbed line.
+        let line = addr & !(virec_mem::LINE_BYTES - 1);
+        let mut hits: Vec<(FaultEvent, u64)> = Vec::new();
+        for ev in &self.pending {
+            let fam = ev.family();
+            if !ev.class.is_persistent()
+                || !matches!(ev.site, FaultSite::BackingReg | FaultSite::DramLine)
+                || self.retired_families.contains(&fam)
+                || hits.iter().any(|(h, _)| h.family() == fam)
+            {
+                continue;
+            }
+            match word_target(ev, m, self.workload) {
+                Some((waddr, _)) if waddr & !(virec_mem::LINE_BYTES - 1) == line => {
+                    hits.push((*ev, waddr));
+                }
+                _ => {}
+            }
+        }
+        for (ev, waddr) in hits {
+            self.ras.ce_observations += 1;
+            let key = m.fabric.row_key(waddr);
+            if self.tracker.observe(key, now) {
+                self.tracker.clear(key);
+                self.ras.predictive_retirements += 1;
+                self.retire(&ev, Some(waddr), m, now);
+            }
+        }
+    }
+
+    /// Takes the physical region behind one persistent fault family out of
+    /// service and disarms the family: masks a VRMU way (activating a spare
+    /// when provisioned) or retires a DRAM row through the remap table
+    /// (consuming a spare row or fencing onto the shared remnant row).
+    /// Regions without retirable cells — control state, transport, a banked
+    /// engine's register cells — are fenced logically: the family is
+    /// dropped and the loss is accounted as degraded capacity. Migration of
+    /// a retired row's data is modeled as real scrub-read traffic through
+    /// the fabric.
+    fn retire(&mut self, ev: &FaultEvent, word_addr: Option<u64>, m: &mut Machine, now: u64) {
+        let Machine { cores, fabric, mem } = m;
+        match (ev.site, word_addr) {
+            (FaultSite::TagValue, _) => {
+                match cores[0].retire_value_way(ev.index, true, fabric, mem) {
+                    Some(w) => {
+                        if !w.spared {
+                            self.ras.degraded_regions += 1;
+                        }
+                        self.applied.push(format!("cycle {now}: ras {}", w.desc));
+                        self.retired_log.push(RetiredRegion::Way {
+                            idx: w.idx,
+                            spared: w.spared,
+                        });
+                    }
+                    None => {
+                        // No maskable way (banked engine) or the store is
+                        // at its in-flight floor: fence the family
+                        // logically and run on with the capacity loss.
+                        self.ras.degraded_regions += 1;
+                        self.applied.push(format!(
+                            "cycle {now}: ras fenced unmaskable way family index {}",
+                            ev.index
+                        ));
+                    }
+                }
+            }
+            (
+                FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse,
+                Some(addr),
+            ) => {
+                let outcome = fabric.retire_row(addr);
+                let spared = matches!(outcome, RetireOutcome::Spared { .. });
+                if !spared {
+                    self.ras.degraded_regions += 1;
+                }
+                // Data migration: the row's live lines are copied to the
+                // replacement row through the fabric — repair bandwidth is
+                // real bandwidth, so it contends with demand traffic.
+                let lines = fabric.config().dram.lines_per_row.min(32);
+                let base = addr & !(virec_mem::LINE_BYTES - 1);
+                for i in 0..lines {
+                    fabric.submit_scrub(now, base + i * virec_mem::LINE_BYTES);
+                }
+                self.ras.migrated_lines += lines;
+                self.applied.push(format!(
+                    "cycle {now}: ras retired row behind {addr:#x} ({})",
+                    if spared { "spared" } else { "fenced" }
+                ));
+                self.retired_log.push(RetiredRegion::Row { addr, spared });
+            }
+            _ => {
+                self.ras.degraded_regions += 1;
+                self.applied.push(format!(
+                    "cycle {now}: ras fenced non-retirable site {} index {}",
+                    ev.site, ev.index
                 ));
             }
-        },
-        FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse
-            if word_addr.is_some() =>
-        {
-            let addr = word_addr.expect("guarded by match arm");
-            let outcome = fabric.retire_row(addr);
-            let spared = matches!(outcome, RetireOutcome::Spared { .. });
-            if !spared {
-                ras.degraded_regions += 1;
-            }
-            // Data migration: the row's live lines are copied to the
-            // replacement row through the fabric — repair bandwidth is
-            // real bandwidth, so it contends with demand traffic.
-            let lines = fabric.config().dram.lines_per_row.min(32);
-            let base = addr & !(virec_mem::LINE_BYTES - 1);
-            for i in 0..lines {
-                fabric.submit_scrub(now, base + i * virec_mem::LINE_BYTES);
-            }
-            ras.migrated_lines += lines;
-            applied.push(format!(
-                "cycle {now}: ras retired row behind {addr:#x} ({})",
-                if spared { "spared" } else { "fenced" }
-            ));
-            retired_log.push(RetiredRegion::Row { addr, spared });
         }
-        _ => {
-            ras.degraded_regions += 1;
-            applied.push(format!(
-                "cycle {now}: ras fenced non-retirable site {} index {}",
-                ev.site, ev.index
-            ));
-        }
+        let fam = ev.family();
+        self.retired_families.push(fam);
+        self.pending.retain(|e| e.family() != fam);
     }
-}
 
-/// Routes one fault group (same cycle, same site, same word) through the
-/// coverage map and applies whatever the modeled hardware lets through.
-#[allow(clippy::too_many_arguments)]
-fn protect_apply_group(
-    group: &[FaultEvent],
-    now: u64,
-    protection: &ProtectionConfig,
-    core: &mut Core,
-    fabric: &Fabric,
-    mem: &mut FlatMem,
-    workload: &Workload,
-    ecc: &mut EccStats,
-    applied: &mut Vec<String>,
-) -> Protected {
-    let site = group[0].site;
-    let level = protection.level(site);
-    if level == ProtectionLevel::None {
+    /// Removes every event due at `now`, re-arming persistent classes and
+    /// dropping assertions of retired families, and groups the rest by the
+    /// word they hit: same-site same-word events are a multi-bit upset,
+    /// and the protection model must see it whole (a double-bit flip is
+    /// one DUE, not two correctable singles).
+    fn take_due(&mut self, now: u64) -> Vec<Vec<FaultEvent>> {
+        let mut groups: Vec<Vec<FaultEvent>> = Vec::new();
+        let mut i = 0;
+        while i < self.pending.len() {
+            if self.pending[i].cycle > now {
+                i += 1;
+                continue;
+            }
+            let ev = self.pending.swap_remove(i);
+            if self.retired_families.contains(&ev.family()) {
+                // The region is out of service — its cells are no longer
+                // wired to anything. The assertion is dropped and the
+                // family is not re-armed.
+                self.ras.suppressed_assertions += 1;
+                continue;
+            }
+            // Persistent classes re-assert: schedule the next firing up
+            // front so the skip's hook horizon covers it like any
+            // scheduled event.
+            if let Some((period, next)) = ev.class.rearm() {
+                self.pending.push(FaultEvent {
+                    cycle: now + period,
+                    class: next,
+                    ..ev
+                });
+            }
+            match groups
+                .iter_mut()
+                .find(|g| g[0].site == ev.site && g[0].index == ev.index)
+            {
+                Some(g) => g.push(ev),
+                None => groups.push(vec![ev]),
+            }
+        }
+        groups
+    }
+
+    /// Link upsets never reach the word-protection model: the per-hop CRC
+    /// detects the corrupted flit in transit and the nack/retransmit
+    /// protocol delivers a clean copy, so the upset is corrected at the
+    /// link layer. Persistent defects charge the link's CE leaky bucket
+    /// toward predictive retirement (route-around) or, when no route would
+    /// survive, degraded fencing.
+    fn link_upsets(&mut self, group: &[FaultEvent], m: &mut Machine, now: u64) {
         for ev in group {
-            if let Some(desc) = apply_fault(ev, core, fabric, mem, workload) {
-                if !protection.is_none() {
-                    ecc.unprotected += 1;
-                }
-                applied.push(format!("cycle {now}: {desc}"));
-            }
-        }
-        return Protected::Continue;
-    }
-    match site {
-        FaultSite::TagValue | FaultSite::RollbackSlot => {
-            // Probe applicability on a deep copy so detected or corrected
-            // flips never touch the real machine — the check bits caught
-            // them before any consumer read the entry.
-            let mut probe = core.clone();
-            let landed: Vec<String> = group
-                .iter()
-                .filter_map(engine_fault_of)
-                .filter_map(|f| probe.inject_fault(f))
-                .collect();
-            let n = landed.len();
-            if n == 0 {
-                return Protected::Continue; // structure empty: nothing to protect
-            }
-            match level {
-                ProtectionLevel::Parity if n % 2 == 1 => {
-                    ecc.detected_uncorrectable += 1;
-                    let desc = format!(
-                        "cycle {now}: parity detected {} ({})",
-                        site,
-                        landed.join("; ")
-                    );
-                    applied.push(desc.clone());
-                    Protected::Uncorrectable(desc)
-                }
-                ProtectionLevel::Parity => {
-                    // Even-weight flip: the parity bit is blind to it. The
-                    // corruption goes through for real and the differential
-                    // checker is the only remaining net.
-                    for f in group.iter().filter_map(engine_fault_of) {
-                        core.inject_fault(f);
-                    }
-                    ecc.parity_escapes += 1;
-                    applied.push(format!(
-                        "cycle {now}: parity escape {} ({})",
-                        site,
-                        landed.join("; ")
-                    ));
-                    Protected::Continue
-                }
-                ProtectionLevel::SecDed if n == 1 => {
-                    ecc.corrected += 1;
-                    applied.push(format!(
-                        "cycle {now}: secded corrected {} ({})",
-                        site, landed[0]
-                    ));
-                    Protected::Continue
-                }
-                ProtectionLevel::SecDed if n == 2 => {
-                    ecc.detected_uncorrectable += 1;
-                    let desc = format!(
-                        "cycle {now}: secded detected double-bit {} ({})",
-                        site,
-                        landed.join("; ")
-                    );
-                    applied.push(desc.clone());
-                    Protected::Uncorrectable(desc)
-                }
-                _ => {
-                    // ≥ 3 simultaneous flips: beyond the SEC-DED guarantee;
-                    // modeled as raw pass-through.
-                    for f in group.iter().filter_map(engine_fault_of) {
-                        core.inject_fault(f);
-                    }
-                    ecc.unprotected += n as u64;
-                    applied.push(format!("cycle {now}: {} flips passed {}", n, site));
-                    Protected::Continue
-                }
-            }
-        }
-        FaultSite::StuckFill => unreachable!("stuck-fill is never protected"),
-        FaultSite::NocLink => unreachable!("link upsets are handled at the link layer"),
-        FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse => {
-            let Some((addr, base)) = word_target(&group[0], core, fabric, mem, workload) else {
-                return Protected::Continue; // target out of range / no in-flight request
+            let Some(link) = m.fabric.inject_link_fault(ev.index) else {
+                // Crossbar topology, or the link is already out of
+                // service: nothing left to corrupt.
+                continue;
             };
-            let mask: u64 = group.iter().fold(0, |m, ev| m ^ (1u64 << (ev.bit % 64)));
-            if mask == 0 {
-                return Protected::Continue; // flips cancelled each other
+            self.ecc.corrected += 1;
+            self.applied.push(format!(
+                "cycle {now}: noc link {link} upset (crc caught, retransmitted)"
+            ));
+            let fam = ev.family();
+            if self.opts.ras.is_none()
+                || !ev.class.is_persistent()
+                || self.retired_families.contains(&fam)
+            {
+                continue;
             }
-            let word = mem.read_u64(addr);
-            match level {
-                ProtectionLevel::Parity if mask.count_ones() % 2 == 1 => {
-                    ecc.detected_uncorrectable += 1;
-                    let desc = format!("cycle {now}: parity detected {base} mask {mask:#x}");
-                    applied.push(desc.clone());
-                    Protected::Uncorrectable(desc)
-                }
-                ProtectionLevel::Parity => {
-                    mem.write_u64(addr, word ^ mask);
-                    ecc.parity_escapes += 1;
-                    applied.push(format!("cycle {now}: parity escape {base} mask {mask:#x}"));
-                    Protected::Continue
-                }
-                ProtectionLevel::SecDed if mask.count_ones() > 2 => {
-                    mem.write_u64(addr, word ^ mask);
-                    ecc.unprotected += group.len() as u64;
-                    applied.push(format!(
-                        "cycle {now}: {} flips passed {base} mask {mask:#x}",
-                        mask.count_ones()
+            self.ras.ce_observations += 1;
+            let key = (1u64 << 62) | link as u64;
+            if !self.tracker.observe(key, now) {
+                continue;
+            }
+            self.tracker.clear(key);
+            self.ras.predictive_retirements += 1;
+            match m
+                .fabric
+                .retire_link(link)
+                .expect("mesh confirmed by inject_link_fault")
+            {
+                LinkRetireOutcome::Rerouted => {
+                    self.applied.push(format!(
+                        "cycle {now}: ras retired noc link {link} (rerouted)"
                     ));
-                    Protected::Continue
                 }
-                ProtectionLevel::SecDed => {
-                    // Run the real codec against the real word so the model
-                    // is grounded in the (72,64) code, not a flip count.
-                    let check = secded_encode(word);
-                    match secded_decode(word ^ mask, check) {
-                        SecDedOutcome::CorrectedData(orig) => {
-                            debug_assert_eq!(orig, word, "SEC-DED must restore the stored word");
-                            ecc.corrected += 1;
-                            applied.push(format!(
-                                "cycle {now}: secded corrected {base} bit {}",
-                                mask.trailing_zeros()
-                            ));
-                            Protected::Continue
+                LinkRetireOutcome::Fenced => {
+                    self.ras.degraded_regions += 1;
+                    self.applied.push(format!(
+                        "cycle {now}: ras fenced noc link {link} \
+                         (half bandwidth, no surviving route)"
+                    ));
+                }
+            }
+            self.retired_log.push(RetiredRegion::Link { link });
+            self.retired_families.push(fam);
+            self.pending.retain(|e| e.family() != fam);
+        }
+    }
+
+    /// Routes one fault group (same cycle, same site, same word) through
+    /// the coverage map and applies whatever the modeled hardware lets
+    /// through. Returns the description of a detected-uncorrectable group:
+    /// the machine was *not* corrupted (the detection is precise), and the
+    /// caller must restore a checkpoint or fail with
+    /// [`SimError::Uncorrectable`].
+    fn protect(&mut self, group: &[FaultEvent], m: &mut Machine, now: u64) -> Option<String> {
+        let site = group[0].site;
+        let level = self.opts.protection.level(site);
+        if level == ProtectionLevel::None {
+            for ev in group {
+                if let Some(desc) = apply_fault(ev, m, self.workload) {
+                    if !self.opts.protection.is_none() {
+                        self.ecc.unprotected += 1;
+                    }
+                    self.applied.push(format!("cycle {now}: {desc}"));
+                }
+            }
+            return None;
+        }
+        let detected = match level {
+            ProtectionLevel::Parity => "parity detected",
+            _ => "secded detected double-bit",
+        };
+        let desc = match site {
+            FaultSite::TagValue | FaultSite::RollbackSlot => {
+                // Probe applicability on a deep copy so detected or
+                // corrected flips never touch the real machine — the check
+                // bits caught them before any consumer read the entry.
+                let core = &mut m.cores[0];
+                let mut probe = core.clone();
+                let landed: Vec<String> = group
+                    .iter()
+                    .filter_map(engine_fault_of)
+                    .filter_map(|f| probe.inject_fault(f))
+                    .collect();
+                let n = landed.len();
+                if n == 0 {
+                    return None; // structure empty: nothing to protect
+                }
+                let landed = landed.join("; ");
+                // The entry's check bits see an n-bit flip.
+                match word_verdict(level, 0, u64::MAX >> (64 - n.min(64))) {
+                    WordVerdict::Detected => format!("cycle {now}: {detected} {site} ({landed})"),
+                    WordVerdict::Corrected => {
+                        self.ecc.corrected += 1;
+                        self.applied
+                            .push(format!("cycle {now}: secded corrected {site} ({landed})"));
+                        return None;
+                    }
+                    verdict => {
+                        // The corruption goes through for real and the
+                        // differential checker is the only remaining net.
+                        for f in group.iter().filter_map(engine_fault_of) {
+                            core.inject_fault(f);
                         }
-                        SecDedOutcome::DoubleError => {
-                            ecc.detected_uncorrectable += 1;
-                            let desc = format!(
-                                "cycle {now}: secded detected double-bit {base} mask {mask:#x}"
-                            );
-                            applied.push(desc.clone());
-                            Protected::Uncorrectable(desc)
-                        }
-                        SecDedOutcome::Clean | SecDedOutcome::CorrectedCheck => Protected::Continue,
+                        self.applied.push(if level == ProtectionLevel::Parity {
+                            self.ecc.parity_escapes += 1;
+                            format!("cycle {now}: parity escape {site} ({landed})")
+                        } else {
+                            debug_assert_eq!(verdict, WordVerdict::PassedThrough);
+                            self.ecc.unprotected += n as u64;
+                            format!("cycle {now}: {n} flips passed {site}")
+                        });
+                        return None;
                     }
                 }
-                ProtectionLevel::None => unreachable!("handled above"),
+            }
+            FaultSite::StuckFill => unreachable!("stuck-fill is never protected"),
+            FaultSite::NocLink => unreachable!("link upsets are handled at the link layer"),
+            FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse => {
+                // `None`: target out of range / no in-flight request.
+                let (addr, base) = word_target(&group[0], m, self.workload)?;
+                let mask: u64 = group.iter().fold(0, |m, ev| m ^ (1u64 << (ev.bit % 64)));
+                if mask == 0 {
+                    return None; // flips cancelled each other
+                }
+                let word = m.mem.read_u64(addr);
+                match word_verdict(level, word, mask) {
+                    WordVerdict::Detected => {
+                        format!("cycle {now}: {detected} {base} mask {mask:#x}")
+                    }
+                    WordVerdict::Corrected => {
+                        self.ecc.corrected += 1;
+                        self.applied.push(format!(
+                            "cycle {now}: secded corrected {base} bit {}",
+                            mask.trailing_zeros()
+                        ));
+                        return None;
+                    }
+                    verdict => {
+                        m.mem.write_u64(addr, word ^ mask);
+                        self.applied.push(if level == ProtectionLevel::Parity {
+                            self.ecc.parity_escapes += 1;
+                            format!("cycle {now}: parity escape {base} mask {mask:#x}")
+                        } else {
+                            debug_assert_eq!(verdict, WordVerdict::PassedThrough);
+                            self.ecc.unprotected += group.len() as u64;
+                            format!(
+                                "cycle {now}: {} flips passed {base} mask {mask:#x}",
+                                mask.count_ones()
+                            )
+                        });
+                        return None;
+                    }
+                }
+            }
+        };
+        self.ecc.detected_uncorrectable += 1;
+        self.applied.push(desc.clone());
+        Some(desc)
+    }
+
+    /// Predictive sparing: every *corrected* assertion of a persistent
+    /// defect charges the region's leaky bucket; at the threshold the
+    /// region is retired before a second cell failure can turn correctable
+    /// into uncorrectable.
+    fn charge_corrected(&mut self, ev: &FaultEvent, m: &mut Machine, now: u64) {
+        let fam = ev.family();
+        if self.retired_families.contains(&fam) {
+            return;
+        }
+        self.ras.ce_observations += 1;
+        // Word sites key on their DRAM row, everything else on its index.
+        let waddr = word_target(ev, m, self.workload).map(|(a, _)| a);
+        let key = waddr.map_or((1 << 63) | ev.index, |a| m.fabric.row_key(a));
+        if self.tracker.observe(key, now) {
+            self.tracker.clear(key);
+            self.ras.predictive_retirements += 1;
+            self.retire(ev, waddr, m, now);
+        }
+    }
+
+    /// Handles a detected-uncorrectable fault set: rewinds to the newest
+    /// checkpoint and returns its cycle, or fails the run.
+    fn recover(
+        &mut self,
+        suppress: &[FaultEvent],
+        detected_desc: String,
+        m: &mut Machine,
+        now: u64,
+    ) -> Result<u64, SimError> {
+        // Persistent faults cannot be outlived by replay alone — the cells
+        // stay broken. Without the RAS layer the runner bounds the retry
+        // loop: a defect family that trips a second detected-uncorrectable
+        // after a restore fails the run with a typed error instead of
+        // replaying forever.
+        if self.opts.ras.is_none() {
+            for fam in suppress
+                .iter()
+                .filter(|e| e.class.is_persistent())
+                .map(FaultEvent::family)
+            {
+                let c = self.due_restores.entry(fam).or_insert(0);
+                *c += 1;
+                if *c >= 2 {
+                    return Err(SimError::Uncorrectable {
+                        site: fam.0.to_string(),
+                        detail: format!(
+                            "persistent fault at {} index {} re-asserted after a \
+                             checkpoint replay; no RAS layer to retire the region",
+                            fam.0, fam.1
+                        ),
+                        diag: RunDiagnostics::capture(self.workload.name, &m.cores[0], now),
+                    });
+                }
             }
         }
+        let Some(ck) = self.checkpoints.back() else {
+            return Err(SimError::Uncorrectable {
+                site: suppress[0].site.to_string(),
+                detail: detected_desc,
+                diag: RunDiagnostics::capture(self.workload.name, &m.cores[0], now),
+            });
+        };
+        // Mid-run recovery: rewind to the newest checkpoint (snapshotted
+        // before this cycle's injection) and replay with the detected fault
+        // suppressed.
+        let restored = ck.cycle;
+        m.clone_from(&ck.machine);
+        self.pending.clone_from(&ck.pending);
+        self.applied.clone_from(&ck.applied);
+        // Correction/escape counters rewind with the state (re-fired events
+        // in the replay window re-count); the cumulative recovery counters
+        // carry forward.
+        let ecc = EccStats {
+            checkpoints_taken: self.ecc.checkpoints_taken,
+            detected_uncorrectable: ck.ecc.detected_uncorrectable + 1,
+            restores: self.ecc.restores + 1,
+            replay_cycles: self.ecc.replay_cycles + (now - restored),
+            ..ck.ecc
+        };
+        // Transient members of the detected group are suppressed for the
+        // replay; persistent members stay armed — only a retirement (below)
+        // or the bounded-restore tripwire above removes them.
+        self.pending
+            .retain(|e| !suppress.contains(e) || e.class.is_persistent());
+        // Physical repairs survive the rollback: replay the retirement log
+        // onto the restored machine. Stats are not recounted, and spare
+        // numbering re-applies in log order, hence deterministically.
+        let Machine { cores, fabric, mem } = &mut *m;
+        for r in &self.retired_log {
+            match *r {
+                RetiredRegion::Way { idx, spared } => {
+                    cores[0].remask_way(idx, spared, fabric, mem);
+                }
+                RetiredRegion::Row { addr, .. } => {
+                    fabric.retire_row(addr);
+                }
+                RetiredRegion::Link { link } => {
+                    // Re-decides rerouted-vs-fenced on the restored fabric;
+                    // log order makes the outcome deterministic.
+                    let _ = fabric.retire_link(link);
+                }
+            }
+        }
+        // Demand retirement: with RAS on, a detected uncorrectable in a
+        // persistent region retires it on the restored machine, so the
+        // replay cannot trip over the same defect again.
+        if self.opts.ras.is_some() {
+            for ev in suppress.iter().filter(|e| e.class.is_persistent()) {
+                if !self.retired_families.contains(&ev.family()) {
+                    let waddr = word_target(ev, m, self.workload).map(|(a, _)| a);
+                    self.ras.demand_retirements += 1;
+                    self.retire(ev, waddr, m, restored);
+                }
+            }
+            let retired = &self.retired_families;
+            self.pending.retain(|e| !retired.contains(&e.family()));
+        }
+        self.ecc = ecc;
+        self.applied.push(format!(
+            "{detected_desc}; restored checkpoint @ cycle {restored} (replaying {} cycles)",
+            now - restored
+        ));
+        Ok(restored)
     }
 }
 
-/// Runs `workload` on a single core with `nthreads` hardware threads.
-///
-/// ```
-/// use virec_core::CoreConfig;
-/// use virec_sim::runner::{run_single, RunOptions};
-/// use virec_workloads::{kernels, Layout};
-///
-/// let w = kernels::stream::reduction(256, Layout::for_core(0));
-/// let r = run_single(CoreConfig::virec(4, 24), &w, &RunOptions::default());
-/// assert!(r.ipc() > 0.0);
-/// assert!(r.stats.instructions > 256);
-/// ```
-///
-/// # Panics
-/// Panics with the [`SimError`] display if the run exceeds the configured
-/// cycle limit, livelocks, or (with `verify`) diverges from the golden
-/// interpreter. Use [`try_run_single`] to handle failures structurally.
-pub fn run_single(cfg: CoreConfig, workload: &Workload, opts: &RunOptions) -> RunResult {
-    try_run_single(cfg, workload, opts).unwrap_or_else(|e| panic!("{e}"))
+impl CycleHook for FaultLayer<'_> {
+    fn before_tick(&mut self, m: &mut Machine, now: u64) {
+        let interval = self.opts.checkpoint_interval;
+        if interval > 0 && now.is_multiple_of(interval) {
+            self.checkpoint(m, now);
+        }
+        if let (Some(rc), Some(_)) = (&self.opts.ras, &self.scrubber) {
+            if now.is_multiple_of(rc.scrub_interval) {
+                self.scrub(m, now);
+            }
+        }
+    }
+
+    fn after_tick(&mut self, m: &mut Machine, now: u64) -> Result<Option<u64>, SimError> {
+        if self.pending.is_empty() {
+            return Ok(None);
+        }
+        let groups = self.take_due(now);
+        let mut suppress: Vec<FaultEvent> = Vec::new();
+        let mut detected_desc = String::new();
+        for group in &groups {
+            if group[0].site == FaultSite::NocLink {
+                self.link_upsets(group, m, now);
+                continue;
+            }
+            let corrected_before = self.ecc.corrected;
+            if let Some(desc) = self.protect(group, m, now) {
+                suppress.extend_from_slice(group);
+                detected_desc = desc;
+            }
+            if self.opts.ras.is_some()
+                && self.ecc.corrected > corrected_before
+                && group[0].class.is_persistent()
+            {
+                self.charge_corrected(&group[0], m, now);
+            }
+        }
+        if suppress.is_empty() {
+            return Ok(None);
+        }
+        self.recover(&suppress, detected_desc, m, now).map(Some)
+    }
+
+    fn next_due(&self, now: u64) -> u64 {
+        let mut due = self
+            .pending
+            .iter()
+            .map(|ev| ev.cycle)
+            .min()
+            .unwrap_or(u64::MAX);
+        let interval = self.opts.checkpoint_interval;
+        if interval > 0 {
+            due = due.min(now.next_multiple_of(interval));
+        }
+        if let (Some(rc), Some(_)) = (&self.opts.ras, &self.scrubber) {
+            // Scrub wakeups are scheduled events like checkpoints: the
+            // clock must land on every patrol cycle.
+            due = due.min(now.next_multiple_of(rc.scrub_interval));
+        }
+        due
+    }
 }
 
-/// Resolves a word-site fault event to the memory word it targets. Returns
-/// `(address, description)` or `None` when the target is out of range (or,
-/// for `FabricResponse`, when no request is in flight).
-fn word_target(
-    event: &FaultEvent,
-    core: &Core,
-    fabric: &Fabric,
-    mem: &FlatMem,
-    workload: &Workload,
-) -> Option<(u64, String)> {
-    let mem_end = mem.size() as u64;
+/// Resolves a word-site fault event to the memory word it targets on the
+/// 1-core machine `m`. Returns `(address, description)` or `None` when the
+/// target is out of range (or, for `FabricResponse`, when no request is in
+/// flight).
+fn word_target(event: &FaultEvent, m: &Machine, workload: &Workload) -> Option<(u64, String)> {
+    let mem_end = m.mem.size() as u64;
     match event.site {
         FaultSite::BackingReg => {
+            let core = &m.cores[0];
             let nthreads = core.config().nthreads as u64;
             let t = (event.index % nthreads) as usize;
             let r = Reg::new(((event.index / nthreads) % 31) as u8);
@@ -1077,7 +891,7 @@ fn word_target(
             (addr + 8 <= mem_end).then(|| (addr, format!("dram word {addr:#x}")))
         }
         FaultSite::FabricResponse => {
-            let addr = fabric.inflight_addr(event.index as usize)?;
+            let addr = m.fabric.inflight_addr(event.index as usize)?;
             let line = addr & !63;
             let word = line + (event.bit as u64 % 8) * 8;
             (word + 8 <= mem_end).then(|| {
@@ -1095,59 +909,40 @@ fn word_target(
 /// way. Returns a description when the fault landed, `None` when the
 /// targeted structure had nothing to corrupt (e.g. a VRMU site on a banked
 /// engine, or no in-flight request).
-fn apply_fault(
-    event: &FaultEvent,
-    core: &mut Core,
-    fabric: &Fabric,
-    mem: &mut FlatMem,
-    workload: &Workload,
-) -> Option<String> {
+fn apply_fault(event: &FaultEvent, m: &mut Machine, workload: &Workload) -> Option<String> {
     match event.site {
         FaultSite::TagValue | FaultSite::RollbackSlot | FaultSite::StuckFill => {
-            core.inject_fault(engine_fault_of(event)?)
+            m.cores[0].inject_fault(engine_fault_of(event)?)
         }
         FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse => {
-            let (addr, base) = word_target(event, core, fabric, mem, workload)?;
-            let v = mem.read_u64(addr);
-            mem.write_u64(addr, v ^ (1u64 << (event.bit % 64)));
+            let (addr, base) = word_target(event, m, workload)?;
+            let v = m.mem.read_u64(addr);
+            m.mem.write_u64(addr, v ^ (1u64 << (event.bit % 64)));
             Some(format!("{base} bit {}", event.bit % 64))
         }
         // Link upsets are consumed by the CRC/retransmission path in the
-        // run loop, never applied raw (the flit payload is timing-only).
+        // fault layer, never applied raw (the flit payload is timing-only).
         FaultSite::NocLink => None,
     }
 }
 
-/// Incremental FNV-1a over the architectural-state byte stream: thread
-/// registers in `(thread, allocatable reg)` order, then the data segment.
-/// Shared by the timing-side and golden-side digests so the two are
-/// directly comparable.
-struct Fnv(u64);
+/// The byte range of `workload`'s data segment within `mem`.
+fn data_segment(mem: &FlatMem, workload: &Workload) -> std::ops::Range<usize> {
+    let lo = workload.layout.data_base as usize;
+    let hi = (workload.layout.data_base + workload.layout.data_size).min(mem.size() as u64);
+    lo..hi as usize
+}
 
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, byte: u8) {
-        self.0 ^= byte as u64;
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-    }
-
-    fn eat_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.eat(b);
-        }
-    }
-
-    fn eat_data_segment(&mut self, mem: &FlatMem, workload: &Workload) {
-        let data_lo = workload.layout.data_base as usize;
-        let data_hi =
-            (workload.layout.data_base + workload.layout.data_size).min(mem.size() as u64) as usize;
-        for &b in &mem.bytes()[data_lo..data_hi] {
-            self.eat(b);
-        }
-    }
+/// FNV-1a over the architectural-state byte stream: `regs` in `(thread,
+/// allocatable reg)` order, then the data segment. Shared by the
+/// timing-side and golden-side digests so the two are directly comparable.
+fn fnv_digest(regs: impl Iterator<Item = u64>, mem: &FlatMem, workload: &Workload) -> u64 {
+    let data = mem.bytes()[data_segment(mem, workload)].iter().copied();
+    regs.flat_map(u64::to_le_bytes)
+        .chain(data)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        })
 }
 
 /// FNV-1a digest of a finished core's architectural state: every
@@ -1155,14 +950,35 @@ impl Fnv {
 /// Used by fault campaigns to distinguish masked faults from silent
 /// corruptions, and by the serve layer's per-task cross-check.
 pub fn arch_digest(core: &Core, mem: &FlatMem, workload: &Workload, nthreads: usize) -> u64 {
-    let mut h = Fnv::new();
+    let regs =
+        (0..nthreads).flat_map(|t| Reg::allocatable().map(move |r| core.arch_reg(t, r, mem)));
+    fnv_digest(regs, mem, workload)
+}
+
+/// Runs `workload` on the golden interpreter with `nthreads` threads over a
+/// fresh `mem_size`-byte image: every thread's final context and the final
+/// image, or the first thread that does not halt within `step_cap` steps.
+fn golden_run(
+    workload: &Workload,
+    nthreads: usize,
+    mem_size: usize,
+    step_cap: u64,
+) -> Result<(Vec<ThreadCtx>, FlatMem), usize> {
+    let mut mem = FlatMem::new(0, mem_size);
+    workload.init_mem(&mut mem);
+    let mut ctxs = Vec::with_capacity(nthreads);
     for t in 0..nthreads {
-        for r in Reg::allocatable() {
-            h.eat_u64(core.arch_reg(t, r, mem));
+        let mut ctx = ThreadCtx::new();
+        for (r, v) in workload.thread_ctx(t, nthreads) {
+            ctx.set(r, v);
         }
+        let out = Interpreter::new(workload.program(), &mut mem).run(&mut ctx, step_cap);
+        if !matches!(out, ExecOutcome::Halted { .. }) {
+            return Err(t);
+        }
+        ctxs.push(ctx);
     }
-    h.eat_data_segment(mem, workload);
-    h.0
+    Ok((ctxs, mem))
 }
 
 /// The [`arch_digest`] a fault-free run of `workload` must produce,
@@ -1177,32 +993,17 @@ pub fn golden_arch_digest(
 ) -> Result<u64, SimError> {
     let mem_size =
         layout::mem_size(1).max((workload.layout.data_base + workload.layout.data_size) as usize);
-    let mut gold_mem = FlatMem::new(0, mem_size);
-    workload.init_mem(&mut gold_mem);
-    let mut ctxs = Vec::with_capacity(nthreads);
-    for t in 0..nthreads {
-        let mut ctx = ThreadCtx::new();
-        for (r, v) in workload.thread_ctx(t, nthreads) {
-            ctx.set(r, v);
+    let (ctxs, mem) = golden_run(workload, nthreads, mem_size, step_cap).map_err(|thread| {
+        SimError::GoldenRunStuck {
+            thread,
+            step_cap,
+            diag: RunDiagnostics::placeholder(workload.name),
         }
-        let out = Interpreter::new(workload.program(), &mut gold_mem).run(&mut ctx, step_cap);
-        if !matches!(out, ExecOutcome::Halted { .. }) {
-            return Err(SimError::GoldenRunStuck {
-                thread: t,
-                step_cap,
-                diag: RunDiagnostics::placeholder(workload.name),
-            });
-        }
-        ctxs.push(ctx);
-    }
-    let mut h = Fnv::new();
-    for ctx in &ctxs {
-        for r in Reg::allocatable() {
-            h.eat_u64(ctx.get(r));
-        }
-    }
-    h.eat_data_segment(&gold_mem, workload);
-    Ok(h.0)
+    })?;
+    let regs = ctxs
+        .iter()
+        .flat_map(|ctx| Reg::allocatable().map(|r| ctx.get(r)));
+    Ok(fnv_digest(regs, &mem, workload))
 }
 
 /// Step cap for the golden interpreter, derived from the timing run's
@@ -1210,15 +1011,16 @@ pub fn golden_arch_digest(
 /// hard-coded constant — a workload that legitimately needs more steps
 /// cannot be misreported, and a wedged golden run is detected at a cap
 /// proportional to the work actually done.
-fn golden_step_cap(committed_instructions: u64) -> u64 {
+pub(crate) fn golden_step_cap(committed_instructions: u64) -> u64 {
     committed_instructions
         .saturating_mul(4)
         .saturating_add(100_000)
 }
 
-/// Fallible form of [`verify_against_golden`]: compares a finished core's
-/// architectural state (registers and data segment) against a fresh
-/// golden-interpreter run of the same workload.
+/// Compares a finished core's architectural state (registers and data
+/// segment) against a fresh golden-interpreter run of the same workload.
+/// A timing model must never change results, so any difference is a typed
+/// [`SimError::GoldenDivergence`] naming the first diverging site.
 pub fn try_verify_against_golden(
     workload: &Workload,
     nthreads: usize,
@@ -1228,21 +1030,15 @@ pub fn try_verify_against_golden(
 ) -> Result<(), SimError> {
     let diag = || RunDiagnostics::capture(workload.name, core, cycles);
     let step_cap = golden_step_cap(core.stats().instructions);
-    let mut gold_mem = FlatMem::new(0, mem.size());
-    workload.init_mem(&mut gold_mem);
-    for t in 0..nthreads {
-        let mut ctx = ThreadCtx::new();
-        for (r, v) in workload.thread_ctx(t, nthreads) {
-            ctx.set(r, v);
-        }
-        let out = Interpreter::new(workload.program(), &mut gold_mem).run(&mut ctx, step_cap);
-        if !matches!(out, ExecOutcome::Halted { .. }) {
-            return Err(SimError::GoldenRunStuck {
-                thread: t,
+    let (ctxs, gold_mem) =
+        golden_run(workload, nthreads, mem.size(), step_cap).map_err(|thread| {
+            SimError::GoldenRunStuck {
+                thread,
                 step_cap,
                 diag: diag(),
-            });
-        }
+            }
+        })?;
+    for (t, ctx) in ctxs.iter().enumerate() {
         for r in Reg::allocatable() {
             let got = core.arch_reg(t, r, mem);
             let want = ctx.get(r);
@@ -1259,21 +1055,19 @@ pub fn try_verify_against_golden(
             }
         }
     }
-    let data_lo = workload.layout.data_base as usize;
-    let data_hi =
-        (workload.layout.data_base + workload.layout.data_size).min(mem.size() as u64) as usize;
-    let got = &mem.bytes()[data_lo..data_hi];
-    let want = &gold_mem.bytes()[data_lo..data_hi];
+    let data = data_segment(mem, workload);
+    let got = &mem.bytes()[data.clone()];
+    let want = &gold_mem.bytes()[data.clone()];
     if got != want {
         let first_mismatch = got
             .iter()
             .zip(want)
             .position(|(a, b)| a != b)
-            .map_or(data_lo, |off| data_lo + off);
+            .map_or(data.start, |off| data.start + off);
         return Err(SimError::GoldenDivergence {
             site: DivergenceSite::DataRange {
-                lo: data_lo,
-                hi: data_hi,
+                lo: data.start,
+                hi: data.end,
                 first_mismatch,
             },
             diag: diag(),
@@ -1282,19 +1076,9 @@ pub fn try_verify_against_golden(
     Ok(())
 }
 
-/// Compares a finished core's architectural state (registers and data
-/// segment) against a fresh golden-interpreter run of the same workload.
-///
-/// # Panics
-/// Panics on any divergence — a timing model must never change results.
-/// Use [`try_verify_against_golden`] to handle divergence structurally.
-pub fn verify_against_golden(workload: &Workload, nthreads: usize, core: &Core, mem: &FlatMem) {
-    try_verify_against_golden(workload, nthreads, core, mem, core.stats().cycles)
-        .unwrap_or_else(|e| panic!("{e}"));
-}
-
-/// Fallible oracle recording: runs the workload on a banked core with the
-/// same thread count under `gate`, returning the recorded schedule.
+/// Records the per-quantum oracle by running the workload on a banked core
+/// with the same thread count under `gate` (the recording substrate for
+/// §6.1's exact prefetching comparison).
 pub fn try_record_oracle(
     workload: &Workload,
     nthreads: usize,
@@ -1312,52 +1096,10 @@ pub fn try_record_oracle(
     try_run_single(cfg, workload, &opts).map(|r| r.oracle)
 }
 
-/// Records the per-quantum oracle by running the workload on a banked core
-/// with the same thread count (the recording substrate for §6.1's exact
-/// prefetching comparison).
-pub fn record_oracle(workload: &Workload, nthreads: usize, fabric: FabricConfig) -> OracleSchedule {
-    try_record_oracle(workload, nthreads, fabric, &RunGate::unbounded())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Convenience: run an exact-context prefetching core, recording the oracle
-/// first.
-pub fn run_prefetch_exact(
-    nthreads: usize,
-    regs_per_thread: usize,
-    workload: &Workload,
-    fabric: FabricConfig,
-) -> RunResult {
-    let oracle = record_oracle(workload, nthreads, fabric);
-    let cfg = CoreConfig::prefetch_exact(nthreads, regs_per_thread);
-    let opts = RunOptions {
-        fabric,
-        oracle,
-        ..RunOptions::default()
-    };
-    run_single(cfg, workload, &opts)
-}
-
-/// Fallible form of [`run_prefetch_exact`].
+/// Runs an exact-context prefetching core, recording the oracle first. The
+/// same gate — and therefore the same wall-clock deadline — spans both the
+/// oracle recording and the replay phase, so the total time is bounded.
 pub fn try_run_prefetch_exact(
-    nthreads: usize,
-    regs_per_thread: usize,
-    workload: &Workload,
-    fabric: FabricConfig,
-) -> Result<RunResult, SimError> {
-    try_run_prefetch_exact_gated(
-        nthreads,
-        regs_per_thread,
-        workload,
-        fabric,
-        &RunGate::unbounded(),
-    )
-}
-
-/// [`try_run_prefetch_exact`] under a cancellation gate. The same gate —
-/// and therefore the same wall-clock deadline — spans both the oracle
-/// recording and the replay phase, so the cell's total time is bounded.
-pub fn try_run_prefetch_exact_gated(
     nthreads: usize,
     regs_per_thread: usize,
     workload: &Workload,
@@ -1391,10 +1133,14 @@ mod tests {
     use super::*;
     use virec_workloads::{kernels, Layout};
 
+    fn run(cfg: CoreConfig, w: &Workload) -> RunResult {
+        try_run_single(cfg, w, &RunOptions::default()).expect("run verifies")
+    }
+
     #[test]
     fn banked_gather_runs_and_verifies() {
         let w = kernels::spatter::gather(256, Layout::for_core(0));
-        let r = run_single(CoreConfig::banked(4), &w, &RunOptions::default());
+        let r = run(CoreConfig::banked(4), &w);
         assert!(r.cycles > 0);
         assert!(r.stats.instructions > 256 * 5);
     }
@@ -1402,14 +1148,15 @@ mod tests {
     #[test]
     fn virec_gather_runs_and_verifies() {
         let w = kernels::spatter::gather(256, Layout::for_core(0));
-        let r = run_single(CoreConfig::virec(4, 32), &w, &RunOptions::default());
+        let r = run(CoreConfig::virec(4, 32), &w);
         assert!(r.stats.rf_misses > 0);
     }
 
     #[test]
     fn oracle_recording_produces_quanta() {
         let w = kernels::spatter::gather(256, Layout::for_core(0));
-        let o = record_oracle(&w, 4, FabricConfig::default());
+        let o = try_record_oracle(&w, 4, FabricConfig::default(), &RunGate::unbounded())
+            .expect("oracle recording completes");
         assert_eq!(o.sets.len(), 4);
         assert!(
             o.sets.iter().any(|s| s.len() > 1),
@@ -1420,7 +1167,8 @@ mod tests {
     #[test]
     fn prefetch_exact_runs_with_recorded_oracle() {
         let w = kernels::spatter::gather(256, Layout::for_core(0));
-        let r = run_prefetch_exact(4, 8, &w, FabricConfig::default());
+        let r = try_run_prefetch_exact(4, 8, &w, FabricConfig::default(), &RunGate::unbounded())
+            .expect("prefetch run verifies");
         assert!(r.cycles > 0);
     }
 
@@ -1428,8 +1176,8 @@ mod tests {
     fn multithreading_beats_single_thread_on_gather() {
         // The core premise: TLP hides memory latency.
         let w = kernels::spatter::gather(1024, Layout::for_core(0));
-        let one = run_single(CoreConfig::banked(1), &w, &RunOptions::default());
-        let four = run_single(CoreConfig::banked(4), &w, &RunOptions::default());
+        let one = run(CoreConfig::banked(1), &w);
+        let four = run(CoreConfig::banked(4), &w);
         assert!(
             four.cycles * 2 < one.cycles * 3,
             "4 threads ({}) should clearly beat 1 thread ({})",
@@ -1491,38 +1239,16 @@ mod tests {
     }
 
     #[test]
-    fn identical_runs_have_identical_digests() {
-        let w = kernels::stream::stream_triad(128, Layout::for_core(0));
-        let a = run_single(CoreConfig::virec(4, 24), &w, &RunOptions::default());
-        let b = run_single(CoreConfig::virec(4, 24), &w, &RunOptions::default());
-        assert_eq!(a.arch_digest, b.arch_digest, "runs are deterministic");
-        // A different kernel must not collide.
-        let w2 = kernels::stream::reduction(128, Layout::for_core(0));
-        let c = run_single(CoreConfig::virec(4, 24), &w2, &RunOptions::default());
-        assert_ne!(a.arch_digest, c.arch_digest);
-    }
-
-    #[test]
     fn golden_digest_matches_a_clean_run() {
         // The golden-side digest hashes the same byte stream as the
         // timing-side one, so a verified run must reproduce it exactly.
         let w = kernels::spatter::gather(128, Layout::for_core(0));
-        let r = run_single(CoreConfig::banked(4), &w, &RunOptions::default());
+        let r = run(CoreConfig::banked(4), &w);
         let g = golden_arch_digest(&w, 4, 1_000_000).expect("golden halts");
         assert_eq!(r.arch_digest, g);
         // And at a non-zero core slot (the serve layer's failover path).
         let w1 = kernels::stream::reduction(128, Layout::for_core(1));
         let g1 = golden_arch_digest(&w1, 4, 1_000_000).expect("golden halts");
         assert_ne!(g, g1, "different slots/kernels must not collide");
-    }
-
-    #[test]
-    fn engines_agree_on_arch_digest() {
-        // The digest is over architectural state, so every engine that
-        // verifies against the same golden model must produce the same one.
-        let w = kernels::spatter::gather(256, Layout::for_core(0));
-        let banked = run_single(CoreConfig::banked(4), &w, &RunOptions::default());
-        let virec = run_single(CoreConfig::virec(4, 32), &w, &RunOptions::default());
-        assert_eq!(banked.arch_digest, virec.arch_digest);
     }
 }

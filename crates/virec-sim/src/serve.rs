@@ -45,13 +45,16 @@
 //! traffic.
 
 use crate::cancel::{CancelToken, RunGate};
-use crate::ecc::{secded_decode, secded_encode, ProtectionConfig, ProtectionLevel, SecDedOutcome};
+use crate::ecc::{word_verdict, ProtectionConfig, ProtectionLevel, WordVerdict};
 use crate::error::{RunDiagnostics, SimError};
 use crate::experiment::{CellData, RetryPolicy};
 use crate::fault::FaultSite;
+use crate::machine::{credit_span, next_wake};
 use crate::offload::offload;
 use crate::ras::{CeTracker, RasConfig};
-use crate::runner::{arch_digest, engine_label, golden_arch_digest, try_verify_against_golden};
+use crate::runner::{
+    arch_digest, engine_label, golden_arch_digest, golden_step_cap, try_verify_against_golden,
+};
 use crate::system::SystemConfigError;
 use crate::watchdog::{Watchdog, DEFAULT_LIVELOCK_CYCLES};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -239,8 +242,8 @@ pub struct ServeConfig {
     /// Cycles per reporting epoch (fabric-traffic snapshots); 0 disables.
     pub epoch_cycles: u64,
     /// Force the dense per-cycle step loop instead of the event-driven
-    /// fast-forward (also forced globally by `VIREC_NO_SKIP=1`). Both loops
-    /// produce byte-identical reports; this is a debugging escape hatch.
+    /// fast-forward. Both loops produce byte-identical reports; the dense
+    /// loop exists as a differential reference.
     pub dense_loop: bool,
 }
 
@@ -746,7 +749,6 @@ impl TaskService {
     /// cancellation stops the service and all in-flight attempts.
     pub fn run_gated(&mut self, gate: &RunGate) -> Result<ServeReport, SimError> {
         self.token = gate.token().clone();
-        let dense = crate::runner::dense_requested(self.cfg.dense_loop);
         let mut queue: VecDeque<Task> = VecDeque::new();
         let mut next_arrival = 0usize;
         let mut next_poll = 0u64;
@@ -866,14 +868,14 @@ impl TaskService {
                 // Event-driven fast-forward over spans where every busy
                 // slot is provably stalled and no dispatcher action
                 // (arrival, dispatch, shed, epoch, fault, deadline) is due.
-                if !dense {
+                if !self.cfg.dense_loop {
                     if let Some(wake) = self.skip_target(&queue, next_arrival, next_epoch, now) {
                         let span = wake - now;
-                        for slot in &mut self.slots {
-                            if let Slot::Busy(inf) = slot {
-                                inf.core.credit_skipped(span);
-                            }
-                        }
+                        let busy = self.slots.iter_mut().filter_map(|s| match s {
+                            Slot::Busy(inf) => Some(&mut inf.core),
+                            _ => None,
+                        });
+                        credit_span(busy, span);
                         self.report.capacity_millicore_cycles += self.capacity_millicores() * span;
                         now = wake;
                     }
@@ -998,24 +1000,13 @@ impl TaskService {
         {
             return None;
         }
-        let ticked = now - 1;
         // Any busy core answering `now` (its productive fast path) pins the
-        // joint wakeup to `now` — bail before the fabric scan and per-slot
-        // cap arithmetic.
-        let mut wake = u64::MAX;
-        for slot in &self.slots {
-            if let Slot::Busy(inf) = slot {
-                if let Some(t) = inf.core.next_event(ticked, &self.fabric) {
-                    if t <= now {
-                        return None;
-                    }
-                    wake = wake.min(t);
-                }
-            }
-        }
-        if let Some(t) = self.fabric.next_event(ticked) {
-            wake = wake.min(t);
-        }
+        // joint wakeup to `now` — bail before the per-slot cap arithmetic.
+        let busy = self.slots.iter().filter_map(|s| match s {
+            Slot::Busy(inf) => Some(&inf.core),
+            _ => None,
+        });
+        let mut wake = next_wake(busy, &self.fabric, now)?;
         for slot in &self.slots {
             let Slot::Busy(inf) = slot else { continue };
             if let Some(f) = inf.fault {
@@ -1175,40 +1166,22 @@ impl TaskService {
         let level = self.cfg.protection.level(FaultSite::DramLine);
         let word = self.mem.read_u64(fault.addr);
         let mask = fault.mask;
-        match level {
-            ProtectionLevel::None => {
+        match word_verdict(level, word, mask) {
+            WordVerdict::Applied | WordVerdict::PassedThrough => {
                 self.mem.write_u64(fault.addr, word ^ mask);
                 None
             }
-            ProtectionLevel::Parity if mask.count_ones() % 2 == 1 => {
+            WordVerdict::Corrected => {
+                self.report.faults_corrected += 1;
+                None
+            }
+            WordVerdict::Detected => {
                 self.report.faults_uncorrectable += 1;
-                Some(format!(
-                    "parity detected upset at {:#x} mask {mask:#x}",
-                    fault.addr
-                ))
-            }
-            ProtectionLevel::Parity => {
-                // Even-weight flip: parity is blind, the corruption lands.
-                self.mem.write_u64(fault.addr, word ^ mask);
-                None
-            }
-            ProtectionLevel::SecDed => {
-                let check = secded_encode(word);
-                match secded_decode(word ^ mask, check) {
-                    SecDedOutcome::CorrectedData(orig) => {
-                        debug_assert_eq!(orig, word);
-                        self.report.faults_corrected += 1;
-                        None
-                    }
-                    SecDedOutcome::DoubleError => {
-                        self.report.faults_uncorrectable += 1;
-                        Some(format!(
-                            "secded detected double-bit upset at {:#x} mask {mask:#x}",
-                            fault.addr
-                        ))
-                    }
-                    SecDedOutcome::Clean | SecDedOutcome::CorrectedCheck => None,
-                }
+                let what = match level {
+                    ProtectionLevel::Parity => "parity detected",
+                    _ => "secded detected double-bit",
+                };
+                Some(format!("{what} upset at {:#x} mask {mask:#x}", fault.addr))
             }
         }
     }
@@ -1347,7 +1320,7 @@ impl TaskService {
                         // silent corruption (provably impossible while
                         // verification is on).
                         let digest = arch_digest(&core, &self.mem, w, nthreads);
-                        let step_cap = core.stats().instructions.saturating_mul(4) + 100_000;
+                        let step_cap = golden_step_cap(core.stats().instructions);
                         let key = (slot, task.spec);
                         let golden = match self.golden.get(&key) {
                             Some(g) => Some(*g),

@@ -2,10 +2,10 @@
 //! crossbar and DRAM, so memory latency observed by each core grows with
 //! system activity.
 
-use crate::cancel::RunGate;
 use crate::error::{RunDiagnostics, SimError};
+use crate::machine::Machine;
 use crate::offload::offload;
-use crate::watchdog::{Watchdog, DEFAULT_LIVELOCK_CYCLES};
+use crate::runner::{try_verify_against_golden, RunOptions};
 use virec_core::{Core, CoreConfig, CoreStats};
 use virec_isa::FlatMem;
 use virec_mem::{Fabric, FabricConfig, FabricStats};
@@ -129,31 +129,16 @@ impl SystemResult {
     }
 }
 
-/// A system of identical near-memory cores sharing one fabric.
+/// A system of near-memory cores sharing one fabric: an N-core
+/// [`Machine`] with one workload per core.
 pub struct System {
-    cores: Vec<Core>,
-    fabric: Fabric,
-    mem: FlatMem,
+    machine: Machine,
     workloads: Vec<Workload>,
-    cfg: SystemConfig,
-    /// Force the dense per-cycle step loop (see
-    /// [`crate::runner::RunOptions::dense_loop`]); the event-driven loop is
-    /// byte-identical, so this is a debugging escape hatch only.
-    dense_loop: bool,
 }
 
 impl System {
-    /// Builds a system where core `i` runs `ctor(n, Layout::for_core(i))`.
-    ///
-    /// # Panics
-    /// Panics on an invalid shape; see [`System::try_new`].
-    pub fn new(cfg: SystemConfig, ctor: WorkloadCtor, n: u64) -> System {
-        Self::try_new(cfg, ctor, n).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`System::new`]: rejects `ncores == 0` with a
-    /// typed [`SystemConfigError`] instead of building a degenerate
-    /// system.
+    /// Builds a system where core `i` runs `ctor(n, Layout::for_core(i))`;
+    /// `ncores == 0` is a typed [`SystemConfigError`].
     pub fn try_new(
         cfg: SystemConfig,
         ctor: WorkloadCtor,
@@ -166,16 +151,6 @@ impl System {
     /// Builds a heterogeneous system: core `i` runs `specs[i]` — a
     /// multi-programmed near-memory node, each processor offloaded a
     /// different kernel.
-    ///
-    /// # Panics
-    /// Panics if `specs.len() != cfg.ncores`; see
-    /// [`System::try_new_mixed`].
-    pub fn new_mixed(cfg: SystemConfig, specs: &[(WorkloadCtor, u64)]) -> System {
-        Self::try_new_mixed(cfg, specs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`System::new_mixed`], returning a typed
-    /// [`SystemConfigError`] on any invalid shape.
     pub fn try_new_mixed(
         cfg: SystemConfig,
         specs: &[(WorkloadCtor, u64)],
@@ -186,22 +161,8 @@ impl System {
 
     /// Fully heterogeneous construction: per-core configurations *and*
     /// per-core workloads — e.g. banked and ViReC processors contending on
-    /// the same crossbar.
-    ///
-    /// # Panics
-    /// Panics if the slice lengths disagree with `cfg.ncores`; see
-    /// [`System::try_new_heterogeneous`].
-    pub fn new_heterogeneous(
-        cfg: SystemConfig,
-        core_cfgs: &[CoreConfig],
-        specs: &[(WorkloadCtor, u64)],
-    ) -> System {
-        Self::try_new_heterogeneous(cfg, core_cfgs, specs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`System::new_heterogeneous`]: every invalid
-    /// shape (zero cores, mismatched spec or core-config arity) is a
-    /// typed [`SystemConfigError`] instead of an assertion failure.
+    /// the same crossbar. Every invalid shape (zero cores, mismatched spec
+    /// or core-config arity) is a typed [`SystemConfigError`].
     pub fn try_new_heterogeneous(
         cfg: SystemConfig,
         core_cfgs: &[CoreConfig],
@@ -238,203 +199,40 @@ impl System {
             workloads.push(w);
         }
         Ok(System {
-            cores,
-            fabric: Fabric::new(cfg.fabric),
-            mem,
+            machine: Machine::new(cores, Fabric::new(cfg.fabric), mem),
             workloads,
-            cfg,
-            dense_loop: false,
         })
-    }
-
-    /// Forces the dense per-cycle loop for this system (normally the run
-    /// loop fast-forwards over provably idle spans; `VIREC_NO_SKIP=1` has
-    /// the same effect globally). Both loops produce byte-identical
-    /// results, so this is a debugging/differential-testing knob.
-    pub fn set_dense_loop(&mut self, dense: bool) {
-        self.dense_loop = dense;
-    }
-
-    /// Per-core statistics access while the system is alive (post-run).
-    pub fn core(&self, i: usize) -> &Core {
-        &self.cores[i]
-    }
-
-    /// The configuration the system was built with.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
     }
 
     /// The system cycle budget: the most generous per-core budget, since
     /// the slowest core bounds completion under shared-fabric contention.
     pub fn cycle_budget(&self) -> u64 {
-        self.cores
-            .iter()
-            .map(|c| c.config().max_cycles)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Fallible system run: executes to completion and verifies every core
-    /// against the golden interpreter, returning a typed [`SimError`] on
-    /// budget exhaustion, livelock, or divergence.
-    pub fn try_run(&mut self) -> Result<SystemResult, SimError> {
-        self.try_run_gated(&RunGate::unbounded())
-    }
-
-    /// [`System::try_run`] under a cancellation gate: the step loop polls
-    /// `gate` and degrades to a typed [`SimError::Deadline`] when the
-    /// per-cell wall-clock deadline expires or cancellation is requested.
-    pub fn try_run_gated(&mut self, gate: &RunGate) -> Result<SystemResult, SimError> {
-        let budget = self.cycle_budget();
-        let mut watchdog = Watchdog::new(DEFAULT_LIVELOCK_CYCLES);
-        if let Some(trip) = gate.trip() {
-            return Err(SimError::Deadline {
-                elapsed_ms: trip.elapsed_ms,
-                limit_ms: trip.limit_ms,
-                diag: self.capture_diag(0),
-            });
-        }
-        let dense = crate::runner::dense_requested(self.dense_loop);
-        let mut next_poll = 0u64;
-        let mut now = 0u64;
-        while !self.cores.iter().all(|c| c.done()) {
-            if let Some(trip) = gate.poll_due(now, &mut next_poll) {
-                return Err(SimError::Deadline {
-                    elapsed_ms: trip.elapsed_ms,
-                    limit_ms: trip.limit_ms,
-                    diag: self.capture_diag(now),
-                });
-            }
-            self.fabric.tick(now);
-            // The NoC watchdog latches on retry exhaustion or an over-age
-            // flit (routing livelock): surface it as a structural hazard
-            // rather than letting the run starve into a livelock trip.
-            if let Some(detail) = self.fabric.noc_fault().map(str::to_string) {
-                return Err(SimError::StructuralHazard {
-                    detail,
-                    diag: self.capture_diag(now),
-                });
-            }
-            for core in &mut self.cores {
-                if !core.done() {
-                    core.tick(now, &mut self.fabric, &mut self.mem);
-                }
-            }
-            now += 1;
-            let committed: u64 = self.cores.iter().map(|c| c.stats().instructions).sum();
-            if let Err(stalled) = watchdog.observe(now, committed) {
-                return Err(SimError::Livelock {
-                    stalled_cycles: stalled,
-                    dump: self.debug_dump(),
-                    diag: self.capture_diag(now),
-                });
-            }
-            if now >= budget {
-                return Err(SimError::CycleBudgetExceeded {
-                    budget,
-                    diag: self.capture_diag(now),
-                });
-            }
-            // Event-driven fast-forward: when every unfinished core and the
-            // shared fabric agree nothing can happen before `wake`, jump the
-            // whole system there and credit each unfinished core's stall
-            // counters for the span (finished cores stop ticking in the
-            // dense loop too, so they are not credited).
-            if !dense && !self.cores.iter().all(|c| c.done()) {
-                let ticked = now - 1;
-                // Any core answering `now` (its productive fast path) pins
-                // the joint wakeup to `now` — bail before the fabric scan.
-                let mut next: Option<u64> = None;
-                let mut busy_now = false;
-                for core in self.cores.iter().filter(|c| !c.done()) {
-                    if let Some(t) = core.next_event(ticked, &self.fabric) {
-                        if t <= now {
-                            busy_now = true;
-                            break;
-                        }
-                        next = Some(next.map_or(t, |m: u64| m.min(t)));
-                    }
-                }
-                if busy_now {
-                    continue;
-                }
-                if let Some(t) = self.fabric.next_event(ticked) {
-                    next = Some(next.map_or(t, |m: u64| m.min(t)));
-                }
-                let mut wake = next.unwrap_or(u64::MAX);
-                if let Some(deadline) = watchdog.deadline() {
-                    wake = wake.min(deadline - 1);
-                }
-                wake = wake.min(budget - 1);
-                if wake > now {
-                    let span = wake - now;
-                    for core in &mut self.cores {
-                        if !core.done() {
-                            core.credit_skipped(span);
-                        }
-                    }
-                    now = wake;
-                }
-            }
-        }
-        for core in &mut self.cores {
-            core.finalize_stats();
-            core.drain(&mut self.mem);
-        }
-        for (core, w) in self.cores.iter().zip(&self.workloads) {
-            crate::runner::try_verify_against_golden(
-                w,
-                core.config().nthreads,
-                core,
-                &self.mem,
-                now,
-            )?;
-        }
-        Ok(SystemResult {
-            cycles: now,
-            per_core: self.cores.iter().map(|c| *c.stats()).collect(),
-            fabric: *self.fabric.stats(),
-        })
+        self.machine.cycle_budget()
     }
 
     /// Runs the system to completion and verifies every core against the
-    /// golden interpreter.
-    ///
-    /// # Panics
-    /// Panics with the [`SimError`] display on any failure; use
-    /// [`System::try_run`] to handle failures structurally.
-    pub fn run(&mut self) -> SystemResult {
-        self.try_run().unwrap_or_else(|e| panic!("{e}"))
+    /// golden interpreter, returning a typed [`SimError`] on budget
+    /// exhaustion, livelock, or divergence.
+    pub fn try_run(&mut self) -> Result<SystemResult, SimError> {
+        self.try_run_with(&RunOptions::default())
     }
 
-    /// Diagnostics for the most-stuck core: the first core that has not
-    /// finished (or core 0 if all finished), labelled with its workload.
-    fn capture_diag(&self, now: u64) -> Box<RunDiagnostics> {
-        let i = self
-            .cores
-            .iter()
-            .position(|c| !c.done())
-            .unwrap_or_default();
-        RunDiagnostics::capture(self.workloads[i].name, &self.cores[i], now)
-    }
-
-    /// Concatenated per-core pipeline dumps for every unfinished core.
-    fn debug_dump(&self) -> String {
-        let mut s = String::new();
-        for (i, core) in self.cores.iter().enumerate() {
-            if !core.done() {
-                s.push_str(&format!(
-                    "--- core {i} ({}) ---\n{}",
-                    self.workloads[i].name,
-                    core.debug_dump()
-                ));
-            }
+    /// [`System::try_run`] under `opts.gate` (a typed [`SimError::Deadline`]
+    /// when the wall-clock deadline expires or cancellation is requested),
+    /// `opts.livelock_cycles` and `opts.dense_loop`; the single-core-only
+    /// options are ignored.
+    pub fn try_run_with(&mut self, opts: &RunOptions) -> Result<SystemResult, SimError> {
+        let names: Vec<&str> = self.workloads.iter().map(|w| w.name).collect();
+        let m = &mut self.machine;
+        let cycles = m.run(&mut (), opts, &names)?;
+        for (core, w) in m.cores.iter().zip(&self.workloads) {
+            try_verify_against_golden(w, core.config().nthreads, core, &m.mem, cycles)?;
         }
-        if s.is_empty() {
-            s.push_str("(all cores report done)");
-        }
-        s
+        Ok(SystemResult {
+            cycles,
+            per_core: m.cores.iter().map(|c| *c.stats()).collect(),
+            fabric: *m.fabric.stats(),
+        })
     }
 }
 
@@ -452,37 +250,29 @@ mod tests {
     }
 
     #[test]
-    fn two_core_system_completes_and_verifies() {
+    fn two_core_system_completes_and_verifies() -> Result<(), SimError> {
         let cfg = sys_cfg(2, CoreConfig::virec(4, 32));
-        let mut sys = System::new(cfg, kernels::spatter::gather, 256);
-        let r = sys.run();
+        let r = System::try_new(cfg, kernels::spatter::gather, 256)?.try_run()?;
         assert_eq!(r.per_core.len(), 2);
         assert!(r.cycles > 0);
+        Ok(())
     }
 
     #[test]
-    fn mixed_workload_system_verifies() {
+    fn mixed_workload_system_verifies() -> Result<(), SimError> {
         let cfg = sys_cfg(3, CoreConfig::virec(4, 32));
         let specs: Vec<(virec_workloads::WorkloadCtor, u64)> = vec![
             (kernels::spatter::gather, 256),
             (kernels::stream::stream_triad, 256),
             (kernels::sparse::spmv, 64),
         ];
-        let mut sys = System::new_mixed(cfg, &specs);
-        let r = sys.run();
+        let r = System::try_new_mixed(cfg, &specs)?.try_run()?;
         assert_eq!(r.per_core.len(), 3);
         // All three kernels committed work.
         for s in &r.per_core {
             assert!(s.instructions > 100);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "one workload spec per core")]
-    fn mixed_arity_checked() {
-        let cfg = sys_cfg(2, CoreConfig::banked(2));
-        let specs: Vec<(virec_workloads::WorkloadCtor, u64)> = vec![(kernels::spatter::gather, 64)];
-        let _ = System::new_mixed(cfg, &specs);
+        Ok(())
     }
 
     #[test]
@@ -544,15 +334,7 @@ mod tests {
     }
 
     #[test]
-    fn try_new_builds_a_working_system() {
-        let cfg = sys_cfg(2, CoreConfig::banked(2));
-        let mut sys = System::try_new(cfg, kernels::spatter::gather, 64).expect("valid shape");
-        let r = sys.try_run().expect("runs");
-        assert_eq!(r.per_core.len(), 2);
-    }
-
-    #[test]
-    fn heterogeneous_engines_share_the_fabric() {
+    fn heterogeneous_engines_share_the_fabric() -> Result<(), SimError> {
         // A banked core and a ViReC core contend for the same DRAM; both
         // must verify, and both make progress.
         let cfg = sys_cfg(2, CoreConfig::banked(4));
@@ -561,12 +343,12 @@ mod tests {
             (kernels::spatter::gather, 256),
             (kernels::spatter::gather, 256),
         ];
-        let mut sys = System::new_heterogeneous(cfg, &cores, &specs);
-        let r = sys.run();
+        let r = System::try_new_heterogeneous(cfg, &cores, &specs)?.try_run()?;
         assert!(r.per_core[0].instructions > 1000);
         assert!(r.per_core[1].instructions > 1000);
         // The ViReC core ran 8 threads, the banked core 4.
         assert!(r.per_core[1].context_switches > r.per_core[0].context_switches / 4);
+        Ok(())
     }
 
     #[test]
@@ -574,7 +356,7 @@ mod tests {
         let mut core = CoreConfig::banked(4);
         core.max_cycles = 3_000; // far too small for 512 elements
         let cfg = sys_cfg(2, core);
-        let mut sys = System::new(cfg, kernels::spatter::gather, 512);
+        let mut sys = System::try_new(cfg, kernels::spatter::gather, 512).expect("valid shape");
         assert_eq!(sys.cycle_budget(), 3_000);
         let err = sys.try_run().unwrap_err();
         match &err {
@@ -596,7 +378,8 @@ mod tests {
             (kernels::spatter::gather, 64),
             (kernels::spatter::gather, 64),
         ];
-        let mut sys = System::new_heterogeneous(cfg, &[small, big], &specs);
+        let mut sys =
+            System::try_new_heterogeneous(cfg, &[small, big], &specs).expect("valid shape");
         assert_eq!(sys.cycle_budget(), big.max_cycles);
         // The generous budget lets both cores finish despite `small`'s cap.
         let r = sys.try_run().expect("system completes under max budget");
@@ -604,19 +387,20 @@ mod tests {
     }
 
     #[test]
-    fn contention_slows_cores_down() {
+    fn contention_slows_cores_down() -> Result<(), SimError> {
         // Per-core IPC must drop as more cores share the fabric.
-        let run = |ncores: usize| {
+        let run = |ncores: usize| -> Result<SystemResult, SimError> {
             let cfg = sys_cfg(ncores, CoreConfig::banked(4));
-            System::new(cfg, kernels::spatter::gather, 512).run()
+            System::try_new(cfg, kernels::spatter::gather, 512)?.try_run()
         };
-        let one = run(1);
-        let four = run(4);
+        let one = run(1)?;
+        let four = run(4)?;
         let ipc1 = one.per_core[0].ipc();
         let ipc4 = four.per_core[0].ipc();
         assert!(
             ipc4 < ipc1,
             "core 0 IPC should drop under contention: {ipc4} vs {ipc1}"
         );
+        Ok(())
     }
 }

@@ -13,6 +13,7 @@ use virec::core::{Core, CoreConfig, RegRegion};
 use virec::isa::analysis::RegisterUsage;
 use virec::isa::{FlatMem, Reg};
 use virec::mem::{Fabric, FabricConfig};
+use virec::sim::{Machine, RunOptions, SimError};
 
 const REGION_BASE: u64 = 0x1000;
 const DATA_BASE: u64 = 0x10_000;
@@ -53,7 +54,7 @@ fn dot_ir() -> Function {
     }
 }
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let n: u64 = 2048;
     let nthreads = 4;
 
@@ -86,22 +87,16 @@ fn main() {
             );
         }
         let cfg = CoreConfig::virec(nthreads, (active * nthreads).max(12));
-        let mut core = Core::new(cfg, compiled.program.clone(), region, CODE_BASE, (0, 1));
-        let mut fabric = Fabric::new(FabricConfig::default());
-        let mut now = 0u64;
-        while !core.done() {
-            fabric.tick(now);
-            core.tick(now, &mut fabric, &mut mem);
-            now += 1;
-        }
-        core.drain(&mut mem);
+        let core = Core::new(cfg, compiled.program.clone(), region, CODE_BASE, (0, 1));
+        let mut m = Machine::new(vec![core], Fabric::new(FabricConfig::default()), mem);
+        let cycles = m.run(&mut (), &RunOptions::default(), &["dot"])?;
         let total: u64 = (0..nthreads)
-            .map(|t| core.arch_reg(t, Reg::new(0), &mem))
+            .map(|t| m.cores[0].arch_reg(t, Reg::new(0), &m.mem))
             .fold(0, u64::wrapping_add);
         println!(
-            "           {} cycles on a {}-register ViReC core, dot = {total}",
-            now,
+            "           {cycles} cycles on a {}-register ViReC core, dot = {total}",
             (active * nthreads).max(12)
         );
     }
+    Ok(())
 }

@@ -10,10 +10,10 @@
 use virec::core::CoreConfig;
 use virec::mem::FabricConfig;
 use virec::sim::report::{f3, Table};
-use virec::sim::{System, SystemConfig};
+use virec::sim::{SimError, System, SystemConfig};
 use virec::workloads::kernels;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let n = 2048;
     let mut t = Table::new(
         "gather on shared fabric: per-core IPC vs system load (ViReC, 64 regs)",
@@ -29,7 +29,7 @@ fn main() {
                 core,
                 fabric: FabricConfig::default(),
             };
-            let r = System::new(cfg, kernels::spatter::gather, n).run();
+            let r = System::try_new(cfg, kernels::spatter::gather, n)?.try_run()?;
             ipc.push(r.mean_core_ipc());
         }
         let better = if ipc[1] > ipc[0] { "10t" } else { "8t" };
@@ -46,4 +46,5 @@ fn main() {
          run the 10-thread configuration; ViReC just squeezes per-thread\n\
          context in the same 64-entry RF."
     );
+    Ok(())
 }

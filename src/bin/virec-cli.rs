@@ -213,6 +213,7 @@ fn cmd_run(flags: HashMap<String, String>) -> ExitCode {
             workload.active_context_size(),
             &workload,
             opts.fabric,
+            &opts.gate,
         )
     } else {
         try_run_single(cfg, &workload, &opts)

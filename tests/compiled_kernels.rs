@@ -8,6 +8,7 @@ use virec::cc::{compile, Compiled};
 use virec::core::{Core, CoreConfig, RegRegion};
 use virec::isa::{FlatMem, Reg};
 use virec::mem::{Fabric, FabricConfig};
+use virec::sim::{Machine, RunOptions};
 
 const REGION_BASE: u64 = 0x1000;
 const DATA_BASE: u64 = 0x10_000;
@@ -54,9 +55,10 @@ fn init_mem(mem: &mut FlatMem, n: u64) {
     }
 }
 
-/// Runs the compiled kernel on `nthreads` ViReC hardware threads and
-/// returns each thread's x0 (the return value).
-fn run_on_core(c: &Compiled, n: u64, nthreads: usize, phys_regs: usize) -> Vec<u64> {
+/// Runs the compiled kernel on a core configured by `cfg` and returns the
+/// cycle count and each thread's x0 (the return value).
+fn run_on_core(c: &Compiled, n: u64, cfg: CoreConfig) -> (u64, Vec<u64>) {
+    let nthreads = cfg.nthreads;
     let mut mem = FlatMem::new(0, 0x100_000);
     init_mem(&mut mem, n);
     let region = RegRegion::new(REGION_BASE, nthreads);
@@ -71,20 +73,15 @@ fn run_on_core(c: &Compiled, n: u64, nthreads: usize, phys_regs: usize) -> Vec<u
             FRAME_BASE + t as u64 * 0x100,
         );
     }
-    let cfg = CoreConfig::virec(nthreads, phys_regs);
-    let mut core = Core::new(cfg, c.program.clone(), region, CODE_BASE, (0, 1));
-    let mut fabric = Fabric::new(FabricConfig::default());
-    let mut now = 0;
-    while !core.done() {
-        fabric.tick(now);
-        core.tick(now, &mut fabric, &mut mem);
-        now += 1;
-        assert!(now < 50_000_000);
-    }
-    core.drain(&mut mem);
-    (0..nthreads)
-        .map(|t| core.arch_reg(t, Reg::new(0), &mem))
-        .collect()
+    let core = Core::new(cfg, c.program.clone(), region, CODE_BASE, (0, 1));
+    let mut m = Machine::new(vec![core], Fabric::new(FabricConfig::default()), mem);
+    let cycles = m
+        .run(&mut (), &RunOptions::default(), &["gather_cc"])
+        .expect("compiled kernel runs to completion");
+    let x0 = (0..nthreads)
+        .map(|t| m.cores[0].arch_reg(t, Reg::new(0), &m.mem))
+        .collect();
+    (cycles, x0)
 }
 
 /// Reference answer straight from the IR interpreter.
@@ -112,7 +109,7 @@ fn compiled_gather_matches_ir_at_every_budget() {
     let want = golden(n, nthreads);
     for budget in [2usize, 4, 8, 14] {
         let c = compile(&gather_ir(), budget).expect("compiles");
-        let got = run_on_core(&c, n, nthreads, 48);
+        let (_, got) = run_on_core(&c, n, CoreConfig::virec(nthreads, 48));
         assert_eq!(got, want, "budget {budget} diverged on the core");
     }
 }
@@ -147,8 +144,9 @@ fn graph_coloring_beats_linear_scan_at_tight_budgets() {
         assert!(g.compiled.spill_stores <= l.compiled.spill_stores);
 
         // Both allocations compute the same architectural answer.
-        assert_eq!(run_on_core(&g.compiled, n, nthreads, 48), want);
-        assert_eq!(run_on_core(&l.compiled, n, nthreads, 48), want);
+        let cfg = CoreConfig::virec(nthreads, 48);
+        assert_eq!(run_on_core(&g.compiled, n, cfg).1, want);
+        assert_eq!(run_on_core(&l.compiled, n, cfg).1, want);
 
         // Under the event-driven harness (with golden verification on),
         // the event-driven and dense loops agree byte-for-byte on the
@@ -210,30 +208,7 @@ fn tight_budget_costs_cycles_on_the_core() {
     let nthreads = 4;
     let run_cycles = |budget: usize| {
         let c = compile(&gather_ir(), budget).unwrap();
-        let mut mem = FlatMem::new(0, 0x100_000);
-        init_mem(&mut mem, n);
-        let region = RegRegion::new(REGION_BASE, nthreads);
-        for t in 0..nthreads {
-            let args = [DATA_BASE, DATA_BASE + n * 8, n, t as u64, nthreads as u64];
-            for (i, &v) in args.iter().enumerate() {
-                mem.write_u64(region.reg_addr(t, Reg::new(i as u8)), v);
-            }
-            mem.write_u64(
-                region.reg_addr(t, c.frame_reg),
-                FRAME_BASE + t as u64 * 0x100,
-            );
-        }
-        let cfg = CoreConfig::banked(nthreads);
-        let mut core = Core::new(cfg, c.program.clone(), region, CODE_BASE, (0, 1));
-        let mut fabric = Fabric::new(FabricConfig::default());
-        let mut now = 0u64;
-        while !core.done() {
-            fabric.tick(now);
-            core.tick(now, &mut fabric, &mut mem);
-            now += 1;
-            assert!(now < 50_000_000);
-        }
-        now
+        run_on_core(&c, n, CoreConfig::banked(nthreads)).0
     };
     let generous = run_cycles(14);
     let starved = run_cycles(2);

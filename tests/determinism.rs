@@ -4,16 +4,16 @@
 
 use virec::core::CoreConfig;
 use virec::mem::FabricConfig;
-use virec::sim::runner::{run_single, RunOptions};
-use virec::sim::{System, SystemConfig};
+use virec::sim::runner::{try_run_single, RunOptions};
+use virec::sim::{SimError, System, SystemConfig, SystemResult};
 use virec::workloads::{kernels, Layout};
 
 #[test]
 fn identical_runs_are_bit_identical() {
     let w = kernels::spatter::gather(1024, Layout::for_core(0));
     let cfg = CoreConfig::virec(8, 32);
-    let a = run_single(cfg, &w, &RunOptions::default());
-    let b = run_single(cfg, &w, &RunOptions::default());
+    let a = try_run_single(cfg, &w, &RunOptions::default()).expect("run verifies");
+    let b = try_run_single(cfg, &w, &RunOptions::default()).expect("run verifies");
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.stats.instructions, b.stats.instructions);
     assert_eq!(a.stats.rf_hits, b.stats.rf_hits);
@@ -23,8 +23,8 @@ fn identical_runs_are_bit_identical() {
 }
 
 #[test]
-fn system_runs_are_deterministic_and_verified() {
-    let build = || {
+fn system_runs_are_deterministic_and_verified() -> Result<(), SimError> {
+    let build = || -> Result<SystemResult, SimError> {
         let mut core = CoreConfig::virec(4, 32);
         core.max_cycles = 500_000_000; // system budget derives from the cores
         let cfg = SystemConfig {
@@ -32,19 +32,20 @@ fn system_runs_are_deterministic_and_verified() {
             core,
             fabric: FabricConfig::default(),
         };
-        System::new(cfg, kernels::spatter::gather, 512).run()
+        System::try_new(cfg, kernels::spatter::gather, 512)?.try_run()
     };
-    let a = build();
-    let b = build();
+    let a = build()?;
+    let b = build()?;
     assert_eq!(a.cycles, b.cycles);
     for (x, y) in a.per_core.iter().zip(&b.per_core) {
         assert_eq!(x.instructions, y.instructions);
         assert_eq!(x.context_switches, y.context_switches);
     }
+    Ok(())
 }
 
 #[test]
-fn eight_core_system_with_ten_threads_verifies() {
+fn eight_core_system_with_ten_threads_verifies() -> Result<(), SimError> {
     // The largest configuration of Figure 11 (shrunk problem size).
     let mut core = CoreConfig::virec(10, 64);
     core.max_cycles = 1_000_000_000;
@@ -53,7 +54,8 @@ fn eight_core_system_with_ten_threads_verifies() {
         core,
         fabric: FabricConfig::default(),
     };
-    let r = System::new(cfg, kernels::spatter::gather, 256).run();
+    let r = System::try_new(cfg, kernels::spatter::gather, 256)?.try_run()?;
     assert_eq!(r.per_core.len(), 8);
     assert!(r.cycles > 0);
+    Ok(())
 }

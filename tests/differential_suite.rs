@@ -5,19 +5,21 @@
 //! BSI, pinning, and the CSL end to end.
 
 use virec::core::{CoreConfig, PolicyKind};
-use virec::sim::runner::{run_prefetch_exact, run_single, RunOptions};
-use virec::workloads::{suite, Layout};
+use virec::sim::runner::{try_run_prefetch_exact, try_run_single, RunOptions, RunResult};
+use virec::sim::RunGate;
+use virec::workloads::{suite, Layout, Workload};
 
 const N: u64 = 256;
 
-fn opts() -> RunOptions {
-    RunOptions::default() // verify = true
+/// A default (golden-verified) run; any failure fails the test.
+fn run(cfg: CoreConfig, w: &Workload) -> RunResult {
+    try_run_single(cfg, w, &RunOptions::default()).expect("run verifies")
 }
 
 #[test]
 fn all_workloads_banked() {
     for w in suite(N, Layout::for_core(0)) {
-        run_single(CoreConfig::banked(4), &w, &opts());
+        run(CoreConfig::banked(4), &w);
     }
 }
 
@@ -25,7 +27,7 @@ fn all_workloads_banked() {
 fn all_workloads_virec_full_context() {
     for w in suite(N, Layout::for_core(0)) {
         let regs = (4 * w.active_context_size()).max(12);
-        run_single(CoreConfig::virec(4, regs), &w, &opts());
+        run(CoreConfig::virec(4, regs), &w);
     }
 }
 
@@ -34,7 +36,7 @@ fn all_workloads_virec_starved_rf() {
     // The hardest case: 8 threads share a minimal RF — maximal spill/fill
     // traffic and constant eviction pressure.
     for w in suite(N, Layout::for_core(0)) {
-        run_single(CoreConfig::virec(8, 12), &w, &opts());
+        run(CoreConfig::virec(8, 12), &w);
     }
 }
 
@@ -44,7 +46,7 @@ fn all_workloads_all_policies() {
         for policy in PolicyKind::ALL {
             let mut cfg = CoreConfig::virec(4, 14);
             cfg.policy = policy;
-            run_single(cfg, &w, &opts());
+            run(cfg, &w);
         }
     }
 }
@@ -52,32 +54,35 @@ fn all_workloads_all_policies() {
 #[test]
 fn all_workloads_nsf() {
     for w in suite(N, Layout::for_core(0)) {
-        run_single(CoreConfig::nsf(4, 16), &w, &opts());
+        run(CoreConfig::nsf(4, 16), &w);
     }
 }
 
 #[test]
 fn all_workloads_software() {
     for w in suite(N, Layout::for_core(0)) {
-        run_single(CoreConfig::software(3), &w, &opts());
+        run(CoreConfig::software(3), &w);
     }
 }
 
 #[test]
 fn all_workloads_prefetch_full() {
     for w in suite(N, Layout::for_core(0)) {
-        run_single(
-            CoreConfig::prefetch_full(4, w.active_context_size()),
-            &w,
-            &opts(),
-        );
+        run(CoreConfig::prefetch_full(4, w.active_context_size()), &w);
     }
 }
 
 #[test]
 fn all_workloads_prefetch_exact() {
     for w in suite(N, Layout::for_core(0)) {
-        run_prefetch_exact(4, w.active_context_size(), &w, Default::default());
+        try_run_prefetch_exact(
+            4,
+            w.active_context_size(),
+            &w,
+            Default::default(),
+            &RunGate::unbounded(),
+        )
+        .expect("run verifies");
     }
 }
 
@@ -89,7 +94,7 @@ fn all_workloads_future_work_extensions() {
         let mut cfg = CoreConfig::virec(6, 16);
         cfg.group_evict = 3;
         cfg.switch_prefetch = true;
-        run_single(cfg, &w, &opts());
+        run(cfg, &w);
     }
 }
 
@@ -98,7 +103,7 @@ fn thread_count_sweep_on_gather() {
     let w = virec::workloads::kernels::spatter::gather(512, Layout::for_core(0));
     for threads in [1usize, 2, 3, 5, 7, 10] {
         let regs = (threads * 8).max(12);
-        run_single(CoreConfig::virec(threads, regs), &w, &opts());
-        run_single(CoreConfig::banked(threads), &w, &opts());
+        run(CoreConfig::virec(threads, regs), &w);
+        run(CoreConfig::banked(threads), &w);
     }
 }

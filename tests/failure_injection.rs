@@ -3,53 +3,51 @@
 //! prove nothing.
 //!
 //! The first half corrupts drained state by hand and expects the golden
-//! checker to panic (through the thin `verify_against_golden` wrapper).
-//! The second half drives the deterministic [`virec::sim::FaultPlan`]
-//! machinery: seeded mid-run corruption of VRMU tag-store entries and
-//! rollback-queue slots, a stuck-fill livelock, and the graceful-sweep
-//! harness that turns failures into structured rows.
+//! checker to report the typed divergence site. The second half drives the
+//! deterministic [`virec::sim::FaultPlan`] machinery: seeded mid-run
+//! corruption of VRMU tag-store entries and rollback-queue slots, a
+//! stuck-fill livelock, and the graceful-sweep harness that turns failures
+//! into structured rows.
 
-use virec::core::{CoreConfig, RegRegion};
+use virec::core::{Core, CoreConfig, RegRegion};
 use virec::isa::{reg::names::X4, FlatMem, Instr, Program};
 use virec::mem::{Fabric, FabricConfig};
 use virec::sim::experiment::{builder, CellOutcome, Executor, ExperimentSpec};
 use virec::sim::offload::offload;
-use virec::sim::runner::{
-    try_run_single, try_verify_against_golden, verify_against_golden, RunOptions,
-};
+use virec::sim::runner::{try_run_single, try_verify_against_golden, RunOptions};
 use virec::sim::{
-    run_campaign, FaultClass, FaultEvent, FaultPlan, FaultSite, InjectionOutcome, SimError,
+    run_campaign, DivergenceSite, FaultClass, FaultEvent, FaultPlan, FaultSite, InjectionOutcome,
+    Machine, SimError,
 };
 use virec::workloads::{kernels, Layout, Workload};
 
 /// Runs gather to completion and returns (core, mem) without verification.
-fn run_unverified(cfg: CoreConfig, n: u64) -> (virec::core::Core, FlatMem) {
+fn run_unverified(cfg: CoreConfig, n: u64) -> (Core, FlatMem) {
     let w = kernels::spatter::gather(n, Layout::for_core(0));
     let mut mem = FlatMem::new(0, virec::workloads::layout::mem_size(1));
     let region: RegRegion = offload(&mut mem, &w, cfg.nthreads);
-    let mut core =
-        virec::core::Core::new(cfg, w.program().clone(), region, w.layout.code_base, (0, 1));
-    let mut fabric = Fabric::new(FabricConfig::default());
-    let mut now = 0;
-    while !core.done() {
-        fabric.tick(now);
-        core.tick(now, &mut fabric, &mut mem);
-        now += 1;
-        assert!(now < 50_000_000);
-    }
-    core.drain(&mut mem);
-    (core, mem)
+    let core = Core::new(cfg, w.program().clone(), region, w.layout.code_base, (0, 1));
+    let mut m = Machine::new(vec![core], Fabric::new(FabricConfig::default()), mem);
+    m.run(&mut (), &RunOptions::default(), &[w.name])
+        .expect("gather runs to completion");
+    let Machine { mut cores, mem, .. } = m;
+    (cores.remove(0), mem)
+}
+
+/// Verifies a finished 256-element gather run against the golden
+/// interpreter at `nthreads` threads.
+fn verify(core: &Core, mem: &FlatMem, nthreads: usize) -> Result<(), SimError> {
+    let w = kernels::spatter::gather(256, Layout::for_core(0));
+    try_verify_against_golden(&w, nthreads, core, mem, core.stats().cycles)
 }
 
 #[test]
 fn clean_run_verifies() {
     let (core, mem) = run_unverified(CoreConfig::virec(4, 32), 256);
-    let w = kernels::spatter::gather(256, Layout::for_core(0));
-    verify_against_golden(&w, 4, &core, &mem);
+    verify(&core, &mem, 4).expect("a clean run verifies");
 }
 
 #[test]
-#[should_panic(expected = "register")]
 fn corrupted_register_is_detected() {
     let (core, mut mem) = run_unverified(CoreConfig::virec(4, 32), 256);
     // Flip a bit in thread 2's drained x4 (the loop bound — always live).
@@ -57,12 +55,20 @@ fn corrupted_register_is_detected() {
     let addr = region.reg_addr(2, X4);
     let v = mem.read_u64(addr);
     mem.write_u64(addr, v ^ 1);
-    let w = kernels::spatter::gather(256, Layout::for_core(0));
-    verify_against_golden(&w, 4, &core, &mem);
+    let err = verify(&core, &mem, 4).expect_err("a flipped register must diverge");
+    assert!(
+        matches!(
+            err,
+            SimError::GoldenDivergence {
+                site: DivergenceSite::Register { thread: 2, reg: X4, got, want },
+                ..
+            } if got ^ want == 1
+        ),
+        "expected thread 2 x4 to diverge by the flipped bit, got {err:?}"
+    );
 }
 
 #[test]
-#[should_panic(expected = "data segment diverged")]
 fn corrupted_data_segment_is_detected() {
     let (core, mut mem) = run_unverified(CoreConfig::virec(4, 32), 256);
     let w = kernels::spatter::gather(256, Layout::for_core(0));
@@ -70,17 +76,29 @@ fn corrupted_data_segment_is_detected() {
     let out = w.layout.data_base + 2 * 256 * 8;
     let v = mem.read_u64(out);
     mem.write_u64(out, v.wrapping_add(1));
-    verify_against_golden(&w, 4, &core, &mem);
+    let err = verify(&core, &mem, 4).expect_err("a corrupted output must diverge");
+    assert!(
+        matches!(
+            err,
+            SimError::GoldenDivergence {
+                site: DivergenceSite::DataRange { first_mismatch, .. },
+                ..
+            } if first_mismatch == out as usize
+        ),
+        "expected the data segment to diverge at {out:#x}, got {err:?}"
+    );
 }
 
 #[test]
-#[should_panic(expected = "diverged")]
 fn wrong_thread_count_is_detected() {
     // Verifying against a different partitioning must fail: the golden run
     // computes different per-thread sums.
     let (core, mem) = run_unverified(CoreConfig::virec(4, 32), 256);
-    let w = kernels::spatter::gather(256, Layout::for_core(0));
-    verify_against_golden(&w, 3, &core, &mem);
+    let err = verify(&core, &mem, 3).expect_err("a 3-thread golden run must diverge");
+    assert!(
+        matches!(err, SimError::GoldenDivergence { .. }),
+        "expected a golden divergence, got {err:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 //! Property-based differential testing: random (but well-formed) programs
-//! are run through the full ViReC core and must match the golden
-//! interpreter's final register values and memory image.
+//! are run through the full ViReC core, in both the dense and the
+//! event-skipping loop mode, and must match the golden interpreter's final
+//! register values and memory image.
 //!
 //! The generator produces a loop with a fixed trip count whose body is a
 //! random mix of ALU operations, masked loads, and masked stores. Memory
@@ -14,6 +15,7 @@ use virec::core::{Core, CoreConfig, PolicyKind, RegRegion};
 use virec::isa::reg::names::*;
 use virec::isa::{Asm, ExecOutcome, FlatMem, Interpreter, Program, Reg, ThreadCtx};
 use virec::mem::{Fabric, FabricConfig};
+use virec::sim::{Machine, RunOptions};
 
 const REGION_BASE: u64 = 0x1000;
 const DATA_BASE: u64 = 0x10_000;
@@ -143,41 +145,42 @@ fn run_differential(ops: Vec<Op>, iters: u8, seed: u64, phys_regs: usize, policy
         gold_ctxs.push(ctx);
     }
 
-    // Timed core.
-    let mut mem = FlatMem::new(0, 0x40_000);
-    let region = RegRegion::new(REGION_BASE, nthreads);
-    for t in 0..nthreads {
-        for (r, v) in initial_ctx(t, seed) {
-            mem.write_u64(region.reg_addr(t, r), v);
-        }
-    }
+    // Timed core, in both loop modes.
     let mut cfg = CoreConfig::virec(nthreads, phys_regs);
     cfg.policy = policy;
-    let mut core = Core::new(cfg, program, region, CODE_BASE, (0, 1));
-    let mut fabric = Fabric::new(FabricConfig::default());
-    let mut now = 0u64;
-    while !core.done() {
-        fabric.tick(now);
-        core.tick(now, &mut fabric, &mut mem);
-        now += 1;
-        assert!(now < 50_000_000, "random program wedged the core");
-    }
-    core.drain(&mut mem);
-
-    for (t, gctx) in gold_ctxs.iter().enumerate() {
-        for r in Reg::allocatable() {
-            prop_assert_eq_impl(core.arch_reg(t, r, &mem), gctx.get(r), t, r);
+    for dense_loop in [true, false] {
+        let mut mem = FlatMem::new(0, 0x40_000);
+        let region = RegRegion::new(REGION_BASE, nthreads);
+        for t in 0..nthreads {
+            for (r, v) in initial_ctx(t, seed) {
+                mem.write_u64(region.reg_addr(t, r), v);
+            }
         }
-    }
-    assert_eq!(
-        &mem.bytes()[DATA_BASE as usize..],
-        &gold_mem.bytes()[DATA_BASE as usize..],
-        "memory image diverged"
-    );
-}
+        let core = Core::new(cfg, program.clone(), region, CODE_BASE, (0, 1));
+        let mut m = Machine::new(vec![core], Fabric::new(FabricConfig::default()), mem);
+        let opts = RunOptions {
+            dense_loop,
+            ..RunOptions::default()
+        };
+        m.run(&mut (), &opts, &["random"])
+            .unwrap_or_else(|e| panic!("random program wedged the core (dense={dense_loop}): {e}"));
 
-fn prop_assert_eq_impl(got: u64, want: u64, t: usize, r: Reg) {
-    assert_eq!(got, want, "thread {t} register {r} diverged");
+        for (t, gctx) in gold_ctxs.iter().enumerate() {
+            for r in Reg::allocatable() {
+                let got = m.cores[0].arch_reg(t, r, &m.mem);
+                assert_eq!(
+                    got,
+                    gctx.get(r),
+                    "thread {t} register {r} diverged (dense={dense_loop})"
+                );
+            }
+        }
+        assert_eq!(
+            &m.mem.bytes()[DATA_BASE as usize..],
+            &gold_mem.bytes()[DATA_BASE as usize..],
+            "memory image diverged (dense={dense_loop})"
+        );
+    }
 }
 
 proptest! {

@@ -5,14 +5,16 @@
 
 use virec::area::AreaModel;
 use virec::core::{CoreConfig, PolicyKind};
-use virec::sim::runner::{run_prefetch_exact, run_single, RunOptions};
-use virec::workloads::{kernels, Layout};
+use virec::sim::runner::{try_run_prefetch_exact, try_run_single, RunOptions, RunResult};
+use virec::sim::RunGate;
+use virec::workloads::{kernels, Layout, Workload};
 
-fn opts() -> RunOptions {
-    RunOptions::default()
+/// A default (golden-verified) run; any failure fails the test.
+fn run(cfg: CoreConfig, w: &Workload) -> RunResult {
+    try_run_single(cfg, w, &RunOptions::default()).expect("run verifies")
 }
 
-fn gather(n: u64) -> virec::workloads::Workload {
+fn gather(n: u64) -> Workload {
     kernels::spatter::gather(n, Layout::for_core(0))
 }
 
@@ -20,9 +22,9 @@ fn gather(n: u64) -> virec::workloads::Workload {
 fn multithreading_hides_memory_latency() {
     // §2: TLP is the latency-hiding lever for memory-intensive kernels.
     let w = gather(2048);
-    let t1 = run_single(CoreConfig::banked(1), &w, &opts()).cycles;
-    let t4 = run_single(CoreConfig::banked(4), &w, &opts()).cycles;
-    let t8 = run_single(CoreConfig::banked(8), &w, &opts()).cycles;
+    let t1 = run(CoreConfig::banked(1), &w).cycles;
+    let t4 = run(CoreConfig::banked(4), &w).cycles;
+    let t8 = run(CoreConfig::banked(8), &w).cycles;
     assert!(t4 * 2 < t1, "4 threads should at least halve runtime");
     assert!(t8 < t4, "8 threads should beat 4");
 }
@@ -33,8 +35,8 @@ fn virec_full_context_matches_banked_within_5_percent() {
     // processor" with full context storage.
     let w = gather(2048);
     for threads in [4usize, 8] {
-        let banked = run_single(CoreConfig::banked(threads), &w, &opts()).cycles as f64;
-        let virec = run_single(CoreConfig::virec(threads, threads * 8), &w, &opts()).cycles as f64;
+        let banked = run(CoreConfig::banked(threads), &w).cycles as f64;
+        let virec = run(CoreConfig::virec(threads, threads * 8), &w).cycles as f64;
         assert!(
             banked / virec > 0.94,
             "{threads}t: ViReC-100% at {:.1}% of banked",
@@ -55,10 +57,10 @@ fn performance_degrades_gracefully_with_context() {
     // Figure 9: smaller stored context -> monotonically lower performance,
     // but still a large fraction of banked.
     let w = gather(2048);
-    let c40 = run_single(CoreConfig::virec(8, 26), &w, &opts()).cycles;
-    let c60 = run_single(CoreConfig::virec(8, 39), &w, &opts()).cycles;
-    let c80 = run_single(CoreConfig::virec(8, 52), &w, &opts()).cycles;
-    let c100 = run_single(CoreConfig::virec(8, 64), &w, &opts()).cycles;
+    let c40 = run(CoreConfig::virec(8, 26), &w).cycles;
+    let c60 = run(CoreConfig::virec(8, 39), &w).cycles;
+    let c80 = run(CoreConfig::virec(8, 52), &w).cycles;
+    let c100 = run(CoreConfig::virec(8, 64), &w).cycles;
     assert!(
         c100 <= c80 && c80 <= c60 && c60 <= c40,
         "{c40} {c60} {c80} {c100}"
@@ -76,7 +78,7 @@ fn lrc_beats_plru_and_tracks_mrt_lru() {
     let run_policy = |p: PolicyKind| {
         let mut cfg = CoreConfig::virec(8, 26); // 40% context
         cfg.policy = p;
-        run_single(cfg, &w, &opts())
+        run(cfg, &w)
     };
     let lrc = run_policy(PolicyKind::Lrc);
     let mrt_plru = run_policy(PolicyKind::MrtPlru);
@@ -109,8 +111,8 @@ fn full_context_prefetch_is_worst() {
     // Figure 9: "prefetching the full context is almost always worse than a
     // caching approach, regardless of the size of ViReC".
     let w = gather(2048);
-    let pf = run_single(CoreConfig::prefetch_full(8, 8), &w, &opts()).cycles;
-    let virec40 = run_single(CoreConfig::virec(8, 26), &w, &opts()).cycles;
+    let pf = run(CoreConfig::prefetch_full(8, 8), &w).cycles;
+    let virec40 = run(CoreConfig::virec(8, 26), &w).cycles;
     assert!(
         pf > virec40,
         "pf_full {pf} must lose to ViReC-40% {virec40}"
@@ -122,9 +124,11 @@ fn exact_prefetch_beats_small_but_loses_to_large_virec() {
     // Figure 9: exact prefetch wins under high contention (vs 40% context)
     // but loses once ViReC can retain 80% of the contexts.
     let w = gather(4096);
-    let pe = run_prefetch_exact(8, 8, &w, Default::default()).cycles;
-    let virec40 = run_single(CoreConfig::virec(8, 26), &w, &opts()).cycles;
-    let virec80 = run_single(CoreConfig::virec(8, 52), &w, &opts()).cycles;
+    let pe = try_run_prefetch_exact(8, 8, &w, Default::default(), &RunGate::unbounded())
+        .expect("run verifies")
+        .cycles;
+    let virec40 = run(CoreConfig::virec(8, 26), &w).cycles;
+    let virec80 = run(CoreConfig::virec(8, 52), &w).cycles;
     assert!(
         pe < virec40,
         "exact prefetch {pe} should beat ViReC-40% {virec40}"
@@ -138,8 +142,8 @@ fn exact_prefetch_beats_small_but_loses_to_large_virec() {
 #[test]
 fn software_switching_is_far_worse_than_hardware() {
     let w = gather(1024);
-    let sw = run_single(CoreConfig::software(4), &w, &opts()).cycles;
-    let banked = run_single(CoreConfig::banked(4), &w, &opts()).cycles;
+    let sw = run(CoreConfig::software(4), &w).cycles;
+    let banked = run(CoreConfig::banked(4), &w).cycles;
     assert!(
         sw > 2 * banked,
         "software switching ({sw}) should be several times slower than banked ({banked})"
@@ -150,8 +154,8 @@ fn software_switching_is_far_worse_than_hardware() {
 fn virec_beats_nsf() {
     // §6.1: ViReC improves over the NSF via LRC + BSI + pinning.
     let w = gather(2048);
-    let virec = run_single(CoreConfig::virec(8, 52), &w, &opts()).cycles;
-    let nsf = run_single(CoreConfig::nsf(8, 52), &w, &opts()).cycles;
+    let virec = run(CoreConfig::virec(8, 52), &w).cycles;
+    let nsf = run(CoreConfig::nsf(8, 52), &w).cycles;
     assert!(virec < nsf, "ViReC {virec} must beat NSF {nsf}");
 }
 
@@ -160,8 +164,8 @@ fn more_threads_with_smaller_context_win_when_latency_unhidden() {
     // §2: "a configuration with 32 registers that supports 4 threads at
     // 100% context can run 8 threads at 40% context with a speedup".
     let w = gather(4096);
-    let four_full = run_single(CoreConfig::virec(4, 32), &w, &opts()).cycles;
-    let eight_small = run_single(CoreConfig::virec(8, 32), &w, &opts()).cycles;
+    let four_full = run(CoreConfig::virec(4, 32), &w).cycles;
+    let eight_small = run(CoreConfig::virec(8, 32), &w).cycles;
     assert!(
         eight_small < four_full,
         "8t x 40% ({eight_small}) should beat 4t x 100% ({four_full})"
@@ -177,8 +181,8 @@ fn smaller_dcache_hurts_virec_more_than_banked() {
         cv.dcache.size_bytes = size;
         let mut cb = CoreConfig::banked(8);
         cb.dcache.size_bytes = size;
-        let v = run_single(cv, &w, &opts()).cycles as f64;
-        let b = run_single(cb, &w, &opts()).cycles as f64;
+        let v = run(cv, &w).cycles as f64;
+        let b = run(cb, &w).cycles as f64;
         v / b
     };
     let small = ratio(2 * 1024);
@@ -196,7 +200,7 @@ fn spatter_patterns_order_by_locality() {
     let n = 4096;
     let miss_rate = |p: SpatterPattern| {
         let w = gather_with_pattern(n, Layout::for_core(0), p);
-        let r = run_single(CoreConfig::banked(4), &w, &opts());
+        let r = run(CoreConfig::banked(4), &w);
         r.stats.dcache.miss_rate()
     };
     let stride1 = miss_rate(SpatterPattern::UniformStride(1));
@@ -222,7 +226,7 @@ fn rrip_class_policies_unsuited_to_register_caching() {
     let run_policy = |p: PolicyKind| {
         let mut cfg = CoreConfig::virec(8, 26);
         cfg.policy = p;
-        run_single(cfg, &w, &opts())
+        run(cfg, &w)
     };
     let lrc = run_policy(PolicyKind::Lrc);
     let srrip = run_policy(PolicyKind::Srrip);

@@ -4,10 +4,10 @@
 //! across every context engine, the whole workload suite, a seeded
 //! fault-injection campaign with checkpointing, and a full serve run.
 //!
-//! The dense loop is selected per run via `RunOptions::dense_loop` (the
-//! `VIREC_NO_SKIP=1` environment variable forces it globally); the
-//! event-driven loop is the default everywhere else in the tree, so these
-//! tests are the only place both loops run side by side on the same input.
+//! The dense loop is selected per run via `RunOptions::dense_loop` (and
+//! `ServeConfig::dense_loop`); the event-driven loop is the default
+//! everywhere else in the tree, so these tests are the main place both
+//! loops run side by side on the same input.
 
 use virec::core::CoreConfig;
 use virec::sim::runner::{try_run_single, RunOptions, RunResult};
@@ -189,9 +189,12 @@ fn system_run_byte_identical() {
         fabric: Default::default(),
     };
     let run = |dense: bool| {
-        let mut sys = System::new(cfg, kernels::spatter::gather, 192);
-        sys.set_dense_loop(dense);
-        sys.try_run().expect("system run completes")
+        let mut sys = System::try_new(cfg, kernels::spatter::gather, 192).expect("valid shape");
+        let opts = RunOptions {
+            dense_loop: dense,
+            ..RunOptions::default()
+        };
+        sys.try_run_with(&opts).expect("system run completes")
     };
     let skip = run(false);
     let dense = run(true);
