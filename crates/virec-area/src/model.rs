@@ -94,12 +94,6 @@ impl AreaModel {
         self.base_core_mm2 + self.bank_mm2
     }
 
-    /// Software context switching: the in-order core (single RF, no extra
-    /// hardware).
-    pub fn software_core(&self) -> f64 {
-        self.inorder_core()
-    }
-
     /// Double-buffer prefetching core: two banks sized for `regs_per_thread`
     /// registers each, plus per-thread next-register metadata for the exact
     /// variant (passed as `metadata_threads > 0`).

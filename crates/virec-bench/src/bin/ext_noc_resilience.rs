@@ -40,18 +40,11 @@ const REGS_PER_THREAD: usize = 8;
 
 const ENGINES: [&str; 2] = ["virec", "banked"];
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let cores = env_u64("VIREC_NOC_CORES", 4) as usize;
-    let tasks = env_u64("VIREC_NOC_TASKS", 96) as usize;
-    let seed = env_u64("VIREC_NOC_SEED", 0xF00D_5EED);
-    let max_faults = env_u64("VIREC_NOC_MAXFAULTS", 12) as usize;
+    let cores = env_knob("VIREC_NOC_CORES").unwrap_or(4);
+    let tasks = env_knob("VIREC_NOC_TASKS").unwrap_or(96);
+    let seed = env_knob("VIREC_NOC_SEED").unwrap_or(0xF00D_5EED);
+    let max_faults = env_knob("VIREC_NOC_MAXFAULTS").unwrap_or(12);
     let sweep: Vec<usize> = (0..=max_faults).step_by(3).collect();
 
     let mut spec = ExperimentSpec::new("ext_noc_resilience");

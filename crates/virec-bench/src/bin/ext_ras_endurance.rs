@@ -38,18 +38,11 @@ const REGS_PER_THREAD: usize = 8;
 
 const ENGINES: [&str; 2] = ["virec", "banked"];
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let cores = env_u64("VIREC_RAS_CORES", 4) as usize;
-    let tasks = env_u64("VIREC_RAS_TASKS", 96) as usize;
-    let spares = env_u64("VIREC_RAS_SPARES", 2) as u32;
-    let seed = env_u64("VIREC_RAS_SEED", 0xF00D_5EED);
+    let cores = env_knob("VIREC_RAS_CORES").unwrap_or(4);
+    let tasks = env_knob("VIREC_RAS_TASKS").unwrap_or(96);
+    let spares = env_knob("VIREC_RAS_SPARES").unwrap_or(2);
+    let seed = env_knob("VIREC_RAS_SEED").unwrap_or(0xF00D_5EED);
 
     let mut spec = ExperimentSpec::new("ext_ras_endurance");
     spec.set_meta("cores", cores);

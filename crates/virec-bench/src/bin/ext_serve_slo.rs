@@ -37,18 +37,11 @@ const OVERLOAD_INTERARRIVAL: u64 = 200;
 const ENGINES: [&str; 2] = ["virec", "banked"];
 const SCENARIOS: [&str; 3] = ["nominal", "faulty", "overload"];
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let cores = env_u64("VIREC_SERVE_CORES", 4) as usize;
-    let tasks = env_u64("VIREC_SERVE_TASKS", 192) as usize;
-    let faults = env_u64("VIREC_SERVE_FAULTS", 64) as usize;
-    let seed = env_u64("VIREC_SERVE_SEED", 0xF00D_5EED);
+    let cores = env_knob("VIREC_SERVE_CORES").unwrap_or(4);
+    let tasks = env_knob("VIREC_SERVE_TASKS").unwrap_or(192);
+    let faults = env_knob("VIREC_SERVE_FAULTS").unwrap_or(64);
+    let seed = env_knob("VIREC_SERVE_SEED").unwrap_or(0xF00D_5EED);
 
     let mut spec = ExperimentSpec::new("ext_serve_slo");
     spec.set_meta("cores", cores);

@@ -43,33 +43,14 @@ use virec_sim::{
 };
 use virec_workloads::kernels;
 
-/// Injection count per engine (`VIREC_FAULTS`, default 64).
-fn injection_count() -> usize {
-    std::env::var("VIREC_FAULTS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64)
-}
-
 /// Campaign options from `VIREC_PROTECTION` / `VIREC_MULTI_FAULT` /
 /// `VIREC_FAULT_CLASS` (defaults: unprotected, single-fault, transient —
 /// the historical behavior). A persistent fault class turns on the RAS
 /// layer at its default rates.
 fn campaign_options() -> CampaignOptions {
-    let protection: ProtectionConfig = match std::env::var("VIREC_PROTECTION") {
-        Ok(s) => s.parse().unwrap_or_else(|e| {
-            eprintln!("VIREC_PROTECTION: {e}");
-            std::process::exit(2);
-        }),
-        Err(_) => ProtectionConfig::none(),
-    };
-    let class: FaultClass = match std::env::var("VIREC_FAULT_CLASS") {
-        Ok(s) => s.parse().unwrap_or_else(|e| {
-            eprintln!("VIREC_FAULT_CLASS: {e}");
-            std::process::exit(2);
-        }),
-        Err(_) => FaultClass::Transient,
-    };
+    let protection: ProtectionConfig =
+        env_knob("VIREC_PROTECTION").unwrap_or_else(ProtectionConfig::none);
+    let class: FaultClass = env_knob("VIREC_FAULT_CLASS").unwrap_or(FaultClass::Transient);
     CampaignOptions {
         protection,
         multi_fault: std::env::var("VIREC_MULTI_FAULT").is_ok_and(|v| v != "0"),
@@ -88,11 +69,10 @@ fn main() {
     // Campaigns run one full simulation per injection; keep the default
     // problem size modest so 2×64 runs stay interactive.
     let n = problem_size().min(2048);
-    let injections = injection_count();
-    let base_seed: u64 = std::env::var("VIREC_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xF00D_5EED);
+    // Injection count per engine and base seed (`VIREC_FAULTS`,
+    // `VIREC_SEED`).
+    let injections: usize = env_knob("VIREC_FAULTS").unwrap_or(64);
+    let base_seed: u64 = env_knob("VIREC_SEED").unwrap_or(0xF00D_5EED);
 
     // The executor already converts panics (a clean reference run failing)
     // into structured failure rows; the full reports travel through this

@@ -21,7 +21,10 @@
 //!    share.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::Instant;
 
 use virec_core::{CoreConfig, PolicyKind};
@@ -38,26 +41,34 @@ pub const DEFAULT_N: u64 = 8192;
 /// Smaller size for quick shape checks.
 pub const QUICK_N: u64 = 1024;
 
+/// Reads the `VIREC_*` knob `name`: `None` when unset or empty. A value
+/// that does not parse exits with status 2 naming the variable, rather
+/// than silently running the default.
+pub fn env_knob<T: FromStr>(name: &str) -> Option<T>
+where
+    T::Err: Display,
+{
+    let s = std::env::var(name).ok().filter(|s| !s.is_empty())?;
+    match s.parse() {
+        Ok(v) => Some(v),
+        Err(e) => {
+            eprintln!("error: {name}={s:?}: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Reads the problem size from VIREC_N (falls back to DEFAULT_N).
 pub fn problem_size() -> u64 {
-    std::env::var("VIREC_N")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_N)
+    env_knob("VIREC_N").unwrap_or(DEFAULT_N)
 }
 
 /// Worker count for sweep execution: `VIREC_JOBS` if set, otherwise every
 /// available core. The collected output is identical either way.
 pub fn jobs() -> usize {
-    std::env::var("VIREC_JOBS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&j| j > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    env_knob("VIREC_JOBS")
+        .or_else(|| std::thread::available_parallelism().ok())
+        .map_or(1, NonZeroUsize::get)
 }
 
 /// Directory for machine-readable result rows: `VIREC_RESULTS` if set
@@ -98,13 +109,8 @@ impl SweepControl {
             |name: &str| std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0" && v != "off");
         let mut ctl = SweepControl {
             resume: env_flag("VIREC_RESUME"),
-            deadline_ms: std::env::var("VIREC_DEADLINE_MS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0),
-            interrupt_after: std::env::var("VIREC_INTERRUPT_AFTER")
-                .ok()
-                .and_then(|s| s.parse().ok()),
+            deadline_ms: env_knob("VIREC_DEADLINE_MS").unwrap_or(0),
+            interrupt_after: env_knob("VIREC_INTERRUPT_AFTER"),
         };
         let args: Vec<String> = std::env::args().collect();
         for (i, arg) in args.iter().enumerate() {

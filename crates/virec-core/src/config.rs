@@ -1,5 +1,6 @@
 //! Core configuration and the Table 1 presets.
 
+use crate::vrmu::{MAX_THREADS, MAX_WAYS, MIN_ACTIVE_WAYS};
 use virec_mem::CacheConfig;
 
 /// Which context-management engine the core uses (the architecture
@@ -150,10 +151,10 @@ impl CoreConfig {
 
     /// The paper's banked core (Table 1): one 32-register bank per thread.
     pub fn banked(nthreads: usize) -> CoreConfig {
+        let phys_regs = nthreads.saturating_mul(32);
         CoreConfig {
             engine: EngineKind::Banked,
-            phys_regs: nthreads * 32,
-            ..CoreConfig::virec(nthreads, nthreads * 32)
+            ..CoreConfig::virec(nthreads, phys_regs)
         }
     }
 
@@ -211,17 +212,61 @@ impl CoreConfig {
         CoreConfig::virec(nthreads, regs.max(12))
     }
 
-    /// Validates internal consistency. Called by `Core::new`.
-    pub fn validate(&self) {
-        assert!(self.nthreads >= 1, "need at least one thread");
-        assert!(self.sq_entries >= 1);
-        if self.engine == EngineKind::ViReC {
-            assert!(
-                self.phys_regs >= 12,
-                "ViReC RF must hold at least 12 registers (in-flight window), got {}",
-                self.phys_regs
-            );
+    /// Checks internal consistency, naming the first violated invariant.
+    /// The fallible entry points (`try_run_single`, `System::try_new*`,
+    /// `TaskService::new`) surface the message as a typed config error;
+    /// `Core::new` panics with it.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.nthreads == 0 {
+            return Err("need at least one thread".into());
         }
+        if self.sq_entries == 0 {
+            return Err("need at least one store-queue entry".into());
+        }
+        if self.engine == EngineKind::ViReC {
+            if self.nthreads > MAX_THREADS {
+                return Err(format!(
+                    "the VRMU tags at most {MAX_THREADS} threads, got {}",
+                    self.nthreads
+                ));
+            }
+            if self.phys_regs < MIN_ACTIVE_WAYS {
+                return Err(format!(
+                    "ViReC RF must hold at least {MIN_ACTIVE_WAYS} registers (in-flight window), got {}",
+                    self.phys_regs
+                ));
+            }
+            if self.phys_regs.saturating_add(self.spare_ways) > MAX_WAYS {
+                return Err(format!(
+                    "the VRMU indexes at most {MAX_WAYS} ways, got {} + {} spare",
+                    self.phys_regs, self.spare_ways
+                ));
+            }
+            if self.group_evict == 0 {
+                return Err("group_evict must be at least 1".into());
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Parses the CLI spelling of a policy, case-insensitively: `lrc`,
+/// `mrt-plru` (or `mrtplru`), `plru`, `lru`, `mrt-lru` (or `mrtlru`),
+/// `fifo`, `random`.
+impl std::str::FromStr for PolicyKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<PolicyKind, String> {
+        Ok(match s.to_ascii_lowercase().as_str() {
+            "lrc" => PolicyKind::Lrc,
+            "mrt-plru" | "mrtplru" => PolicyKind::MrtPlru,
+            "plru" => PolicyKind::Plru,
+            "lru" => PolicyKind::Lru,
+            "mrt-lru" | "mrtlru" => PolicyKind::MrtLru,
+            "fifo" => PolicyKind::Fifo,
+            "random" => PolicyKind::Random,
+            _ => return Err(format!("unknown policy {s:?}")),
+        })
     }
 }
 
@@ -231,12 +276,16 @@ mod tests {
 
     #[test]
     fn presets_are_consistent() {
-        CoreConfig::virec(8, 64).validate();
-        CoreConfig::banked(8).validate();
-        CoreConfig::inorder().validate();
-        CoreConfig::software(4).validate();
-        CoreConfig::nsf(8, 32).validate();
-        CoreConfig::prefetch_full(4, 8).validate();
+        for cfg in [
+            CoreConfig::virec(8, 64),
+            CoreConfig::banked(8),
+            CoreConfig::inorder(),
+            CoreConfig::software(4),
+            CoreConfig::nsf(8, 32),
+            CoreConfig::prefetch_full(4, 8),
+        ] {
+            assert_eq!(cfg.validate(), Ok(()));
+        }
     }
 
     #[test]
@@ -268,9 +317,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least 12 registers")]
     fn tiny_virec_rf_rejected() {
-        CoreConfig::virec(8, 4).validate();
+        let e = CoreConfig::virec(8, 4).validate().unwrap_err();
+        assert!(e.contains("at least 12 registers"), "{e}");
     }
 
     #[test]

@@ -303,7 +303,8 @@ impl Core {
     /// Builds a core. `ports.0`/`ports.1` are the fabric ports of the
     /// icache and dcache respectively; `region` is where this core's thread
     /// contexts were offloaded; `code_base` is the (timing-only) address of
-    /// the program image.
+    /// the program image. Panics if `cfg` fails [`CoreConfig::validate`]
+    /// (the `try_` runners check it first and return a typed error).
     pub fn new(
         cfg: CoreConfig,
         program: Program,
@@ -330,7 +331,9 @@ impl Core {
         ports: (PortId, PortId),
         oracle: OracleSchedule,
     ) -> Core {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         assert_eq!(region.nthreads, cfg.nthreads, "region sized for nthreads");
         let engine: Box<dyn ContextEngine> = match cfg.engine {
             EngineKind::ViReC => Box::new(VirecEngine::new(&cfg)),

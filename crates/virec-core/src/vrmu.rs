@@ -94,6 +94,9 @@ pub const MAX_THREADS: usize = 32;
 
 const NO_ENTRY: u16 = u16::MAX;
 
+/// Most ways (in-service plus spare) a tag store can index.
+pub const MAX_WAYS: usize = NO_ENTRY as usize - 1;
+
 /// The tag store: a fully associative register cache.
 ///
 /// Lookups are O(1) through a `(thread, register) -> entry` reverse map —
@@ -138,7 +141,7 @@ impl TagStore {
     /// them, so the in-service capacity stays `phys_regs`.
     pub fn with_spares(phys_regs: usize, spare_ways: usize, policy: PolicyKind) -> TagStore {
         let total = phys_regs + spare_ways;
-        assert!(total < NO_ENTRY as usize);
+        assert!(total <= MAX_WAYS);
         let words = total.div_ceil(64);
         let mut ts = TagStore {
             entries: vec![TagEntry::EMPTY; total],

@@ -65,11 +65,6 @@ impl DramConfig {
     pub fn row_hit_latency(&self) -> u32 {
         self.t_cl + self.t_burst
     }
-
-    /// Latency of a row-buffer conflict (precharge + activate + CAS + burst).
-    pub fn row_conflict_latency(&self) -> u32 {
-        self.t_rp + self.t_rcd + self.t_cl + self.t_burst
-    }
 }
 
 /// Crossbar + DRAM configuration.
@@ -332,11 +327,6 @@ impl Fabric {
     /// Health counts of the mesh link population (`None` on the crossbar).
     pub fn link_health(&self) -> Option<LinkHealth> {
         self.noc.as_deref().map(|n| n.link_health())
-    }
-
-    /// Mesh dimensions `(cols, rows)` (`None` on the crossbar).
-    pub fn mesh_dims(&self) -> Option<(usize, usize)> {
-        self.noc.as_deref().map(|n| n.dims())
     }
 
     /// Flits currently inside the mesh (`None` on the crossbar).

@@ -237,19 +237,33 @@ pub enum SimError {
 }
 
 impl SimError {
+    /// Every [`SimError::kind`] tag, in variant order: the one list the
+    /// kind tags and the journal decoder share.
+    pub const KINDS: [&'static str; 9] = [
+        "config",
+        "cycle_budget",
+        "livelock",
+        "golden_divergence",
+        "golden_stuck",
+        "deadline",
+        "uncorrectable",
+        "structural_hazard",
+        "fault_detected",
+    ];
+
     /// Stable machine-readable kind tag (one token, for CSV/log fields).
     pub fn kind(&self) -> &'static str {
-        match self {
-            SimError::Config { .. } => "config",
-            SimError::CycleBudgetExceeded { .. } => "cycle_budget",
-            SimError::Livelock { .. } => "livelock",
-            SimError::GoldenDivergence { .. } => "golden_divergence",
-            SimError::GoldenRunStuck { .. } => "golden_stuck",
-            SimError::Deadline { .. } => "deadline",
-            SimError::Uncorrectable { .. } => "uncorrectable",
-            SimError::StructuralHazard { .. } => "structural_hazard",
-            SimError::FaultDetected { .. } => "fault_detected",
-        }
+        Self::KINDS[match self {
+            SimError::Config { .. } => 0,
+            SimError::CycleBudgetExceeded { .. } => 1,
+            SimError::Livelock { .. } => 2,
+            SimError::GoldenDivergence { .. } => 3,
+            SimError::GoldenRunStuck { .. } => 4,
+            SimError::Deadline { .. } => 5,
+            SimError::Uncorrectable { .. } => 6,
+            SimError::StructuralHazard { .. } => 7,
+            SimError::FaultDetected { .. } => 8,
+        }]
     }
 
     /// True when this failure came from an expired per-cell wall-clock

@@ -35,6 +35,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::ecc::EccStats;
+use crate::error::SimError;
 use crate::experiment::{json_string, CellData, CellOutcome};
 use crate::ras::RasStats;
 use crate::runner::RunResult;
@@ -439,21 +440,15 @@ pub fn parse_record(line: &str) -> Option<(String, CellOutcome)> {
 }
 
 /// Maps a parsed kind string back onto the `&'static str` tags the error
-/// type uses. Unknown tags (a journal from a newer build) still replay as
-/// failures, just with an `unknown` kind.
+/// type uses ([`SimError::KINDS`], plus the executor's `panic`). Unknown
+/// tags (a journal from a newer build) still replay as failures, just with
+/// an `unknown` kind.
 fn static_kind(s: &str) -> &'static str {
-    match s {
-        "cycle_budget" => "cycle_budget",
-        "livelock" => "livelock",
-        "golden_divergence" => "golden_divergence",
-        "golden_stuck" => "golden_stuck",
-        "fault_detected" => "fault_detected",
-        "uncorrectable" => "uncorrectable",
-        "structural_hazard" => "structural_hazard",
-        "deadline" => "deadline",
-        "panic" => "panic",
-        _ => "unknown",
-    }
+    SimError::KINDS
+        .into_iter()
+        .chain(["panic"])
+        .find(|&k| k == s)
+        .unwrap_or("unknown")
 }
 
 fn dec_data(v: &Json) -> Option<CellData> {
@@ -1014,22 +1009,33 @@ mod tests {
 
     #[test]
     fn failed_record_roundtrips_with_static_kind() {
-        let outcome = CellOutcome::Failed {
-            kind: "deadline",
-            error: "wall-clock deadline of 50 ms expired\nwith a second line".into(),
-            retried: true,
-        };
-        let (_, back) = roundtrip("hung", &outcome);
-        match back {
-            CellOutcome::Failed {
+        for kind in SimError::KINDS.into_iter().chain(["panic"]) {
+            let outcome = CellOutcome::Failed {
                 kind,
-                error,
-                retried,
-            } => {
-                assert_eq!(kind, "deadline");
-                assert!(error.contains("second line"), "newlines must survive");
-                assert!(retried);
+                error: "wall-clock deadline of 50 ms expired\nwith a second line".into(),
+                retried: true,
+            };
+            let (_, back) = roundtrip("hung", &outcome);
+            match back {
+                CellOutcome::Failed {
+                    kind: back_kind,
+                    error,
+                    retried,
+                } => {
+                    assert_eq!(back_kind, kind);
+                    assert!(error.contains("second line"), "newlines must survive");
+                    assert!(retried);
+                }
+                other => panic!("wrong variant: {other:?}"),
             }
+        }
+        let outcome = CellOutcome::Failed {
+            kind: "from_a_newer_build",
+            error: String::new(),
+            retried: false,
+        };
+        match roundtrip("future", &outcome).1 {
+            CellOutcome::Failed { kind, .. } => assert_eq!(kind, "unknown"),
             other => panic!("wrong variant: {other:?}"),
         }
     }

@@ -8,9 +8,22 @@
 //! the region; the timing cost on the near-memory side (the fills) is
 //! modelled by the context engines.
 
+use virec_core::regions::BYTES_PER_THREAD;
 use virec_core::RegRegion;
 use virec_isa::FlatMem;
-use virec_workloads::Workload;
+use virec_workloads::{Layout, Workload};
+
+/// Checks that `nthreads` contexts fit the register region `layout`
+/// reserves below its data segment; more would overwrite the data.
+pub(crate) fn check_region(layout: &Layout, nthreads: usize) -> Result<(), String> {
+    let fit = (layout.data_base - layout.region_base) / BYTES_PER_THREAD;
+    if nthreads as u64 > fit {
+        return Err(format!(
+            "{nthreads} thread contexts overrun the register region (at most {fit} fit)"
+        ));
+    }
+    Ok(())
+}
 
 /// Writes the initial data segment and all thread contexts for `workload`
 /// into memory, and returns the core's register region.

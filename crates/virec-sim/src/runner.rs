@@ -13,7 +13,7 @@ use crate::ecc::{word_verdict, EccStats, ProtectionConfig, ProtectionLevel, Word
 use crate::error::{DivergenceSite, RunDiagnostics, SimError};
 use crate::fault::{engine_fault_of, FaultEvent, FaultPlan, FaultSite};
 use crate::machine::{CycleHook, Machine};
-use crate::offload::offload;
+use crate::offload::{check_region, offload};
 use crate::ras::{CeTracker, RasConfig, RasStats, RetiredRegion, Scrubber};
 use crate::watchdog::DEFAULT_LIVELOCK_CYCLES;
 use std::collections::{HashMap, VecDeque};
@@ -31,6 +31,9 @@ use virec_workloads::{layout, Workload};
 pub fn default_checkpoint_interval() -> u64 {
     ROLLBACK_DEPTH as u64 * 256
 }
+
+/// Depth of the in-memory checkpoint ring when checkpointing is on.
+const CHECKPOINT_DEPTH: usize = 4;
 
 /// Options for a single-core run. A [`crate::System`] run reads only
 /// `gate`, `livelock_cycles` and `dense_loop`.
@@ -58,9 +61,6 @@ pub struct RunOptions {
     /// checkpointing (the default — ordinary runs pay nothing). See
     /// [`default_checkpoint_interval`] for the campaign default.
     pub checkpoint_interval: u64,
-    /// Depth of the in-memory checkpoint ring (ignored when
-    /// checkpointing is disabled).
-    pub checkpoint_depth: usize,
     /// Wall-clock deadline / cooperative-cancellation gate; the default
     /// never trips. The step loop polls it cheaply and degrades to a
     /// typed [`SimError::Deadline`] when it fires.
@@ -88,7 +88,6 @@ impl Default for RunOptions {
             faults: FaultPlan::empty(),
             protection: ProtectionConfig::none(),
             checkpoint_interval: 0,
-            checkpoint_depth: 4,
             gate: RunGate::unbounded(),
             dense_loop: false,
             ras: None,
@@ -192,6 +191,12 @@ fn try_run_single_impl(
             cfg.spare_ways = rc.spare_ways as usize;
         }
     }
+    cfg.validate()
+        .and_then(|()| check_region(&workload.layout, cfg.nthreads))
+        .map_err(|detail| SimError::Config {
+            detail,
+            diag: RunDiagnostics::placeholder(workload.name),
+        })?;
     let mut mem = FlatMem::new(
         0,
         layout::mem_size(1).max((workload.layout.data_base + workload.layout.data_size) as usize),
@@ -332,7 +337,7 @@ impl<'a> FaultLayer<'a> {
 
     fn checkpoint(&mut self, m: &Machine, now: u64) {
         let snap_start = std::time::Instant::now();
-        if self.checkpoints.len() == self.opts.checkpoint_depth.max(1) {
+        if self.checkpoints.len() == CHECKPOINT_DEPTH {
             // Swap-and-overwrite: recycle the evicted ring slot's heap
             // buffers instead of reallocating a full deep copy for every
             // snapshot.

@@ -50,7 +50,7 @@ use crate::error::{RunDiagnostics, SimError};
 use crate::experiment::{CellData, RetryPolicy};
 use crate::fault::FaultSite;
 use crate::machine::{credit_span, next_wake};
-use crate::offload::offload;
+use crate::offload::{check_region, offload};
 use crate::ras::{CeTracker, RasConfig};
 use crate::runner::{
     arch_digest, engine_label, golden_arch_digest, golden_step_cap, try_verify_against_golden,
@@ -280,6 +280,11 @@ impl ServeConfig {
         if self.ncores == 0 {
             return Err(SystemConfigError::ZeroCores.into());
         }
+        // Every slot's layout reserves the same register region.
+        self.core
+            .validate()
+            .and_then(|()| check_region(&Layout::for_core(0), self.core.nthreads))
+            .map_err(|e| config_error(&e))?;
         if self.queue_depth == 0 {
             return Err(config_error("admission queue depth must be nonzero"));
         }

@@ -4,7 +4,7 @@
 
 use crate::error::{RunDiagnostics, SimError};
 use crate::machine::Machine;
-use crate::offload::offload;
+use crate::offload::{check_region, offload};
 use crate::runner::{try_verify_against_golden, RunOptions};
 use virec_core::{Core, CoreConfig, CoreStats};
 use virec_isa::FlatMem;
@@ -32,7 +32,7 @@ pub struct SystemConfig {
 /// constructed. Surfaced as [`SimError::Config`] through `From`, so
 /// callers working at the `SimError` level get a typed `config` kind
 /// instead of a construction panic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SystemConfigError {
     /// `ncores` was zero — a system needs at least one core.
     ZeroCores,
@@ -49,6 +49,13 @@ pub enum SystemConfigError {
         expected: usize,
         /// `core_cfgs.len()`.
         got: usize,
+    },
+    /// A core's configuration failed [`CoreConfig::validate`].
+    Core {
+        /// Index of the offending core.
+        core: usize,
+        /// The violated invariant.
+        detail: String,
     },
 }
 
@@ -70,6 +77,7 @@ impl std::fmt::Display for SystemConfigError {
                     "one core config per core: expected {expected}, got {got}"
                 )
             }
+            SystemConfigError::Core { core, detail } => write!(f, "core {core}: {detail}"),
         }
     }
 }
@@ -162,7 +170,8 @@ impl System {
     /// Fully heterogeneous construction: per-core configurations *and*
     /// per-core workloads — e.g. banked and ViReC processors contending on
     /// the same crossbar. Every invalid shape (zero cores, mismatched spec
-    /// or core-config arity) is a typed [`SystemConfigError`].
+    /// or core-config arity, an invalid core configuration) is a typed
+    /// [`SystemConfigError`].
     pub fn try_new_heterogeneous(
         cfg: SystemConfig,
         core_cfgs: &[CoreConfig],
@@ -182,6 +191,11 @@ impl System {
                 expected: cfg.ncores,
                 got: core_cfgs.len(),
             });
+        }
+        for (core, c) in core_cfgs.iter().enumerate() {
+            c.validate()
+                .and_then(|()| check_region(&Layout::for_core(core), c.nthreads))
+                .map_err(|detail| SystemConfigError::Core { core, detail })?;
         }
         let mut mem = FlatMem::new(0, layout::mem_size(cfg.ncores));
         let mut cores = Vec::with_capacity(cfg.ncores);
@@ -321,6 +335,17 @@ mod tests {
         assert_eq!(err, SystemConfigError::ZeroCores);
         let sim: SimError = err.into();
         assert_eq!(sim.kind(), "config");
+    }
+
+    #[test]
+    fn invalid_core_config_is_a_typed_error() {
+        let cfg = sys_cfg(1, CoreConfig::virec(4, 4));
+        let err = System::try_new(cfg, kernels::spatter::gather, 64)
+            .err()
+            .expect("must fail");
+        let sim: SimError = err.into();
+        assert_eq!(sim.kind(), "config");
+        assert!(sim.to_string().contains("at least 12 registers"), "{sim}");
     }
 
     #[test]

@@ -9,31 +9,33 @@
 //! ```
 
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 use virec::area::AreaModel;
 use virec::bench::harness::{self, EngineSel, SuiteSweep};
 use virec::bench::tune::{pareto_front, pick_for_area, tune_sweep, TuneConfig};
 use virec::cc::{regalloc, AllocStrategy};
-use virec::core::{CoreConfig, EngineKind, PolicyKind};
+use virec::core::{CoreConfig, EngineKind};
 use virec::mem::{FabricConfig, FabricTopology};
 use virec::sim::experiment::{Executor, RetryPolicy};
 use virec::sim::runner::default_checkpoint_interval;
 use virec::sim::runner::{try_run_prefetch_exact, try_run_single, RunOptions};
+use virec::sim::serve::default_mix;
 use virec::sim::{
     interrupt_tokens, parse_sites, run_campaign_with, run_service, CampaignOptions, FaultClass,
     FaultPlan, FaultSite, InjectionOutcome, JournalConfig, ProtectionConfig, RasConfig,
-    ServeConfig, ServeFaultPlan,
+    ServeConfig, ServeFaultPlan, SimError,
 };
 use virec::verify::{
     broken_fixture, broken_spill_report, lint_everything, lint_program, tv_compiled_budgets,
     LintConfig,
 };
-use virec::workloads::{by_name, suite_names, Layout};
+use virec::workloads::{by_name, suite_names, Layout, Workload};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "virec-cli — ViReC near-memory multithreading simulator
+const USAGE: &str = "virec-cli — ViReC near-memory multithreading simulator
 
 USAGE:
     virec-cli list
@@ -45,6 +47,7 @@ USAGE:
                        [--threads <t>] [--engines <e1,e2,..>] [--json <dir>]
                        [--max-retries <k>] [--budget-factor <f>] [--budget-cap <c>]
                        [--resume] [--deadline <ms>]
+                       (--budget-retries <k> is an alias of --max-retries)
     virec-cli campaign [--workload <name>] [--n <elems>] [--engine virec|banked]
                        [--threads <t>] [--regs <r>] [--faults <k>] [--seed <s>]
                        [--protection none|parity|secded] [--multi-fault]
@@ -53,7 +56,8 @@ USAGE:
     virec-cli ras      [--workload <name>] [--n <elems>] [--engine virec|banked]
                        [--threads <t>] [--regs <r>] [--faults <k>] [--seed <s>]
                        [--fault-class intermittent|stuck-at]
-                       [--scrub-interval <c>] [--spare-rows <k>] [--spare-ways <k>]
+                       [--scrub-interval <c>] [--ce-leak-interval <c>]
+                       [--spare-rows <k>] [--spare-ways <k>]
                        [--ce-threshold <k>] [--protection parity|secded]
     virec-cli serve    [--cores <c>] [--tasks <k>] [--rate <tasks/Mcycle>]
                        [--engine virec|banked] [--threads <t>] [--regs <r>]
@@ -80,233 +84,343 @@ SWEEP ENGINES: banked | software | virec<pct> | nsf<pct> | pf_full | pf_exact
 Sweeps journal completed cells to <json-dir>/<name>.journal.jsonl. An
 interrupted sweep (Ctrl-C, or a cell hitting --deadline is just a FAILED
 row) exits 130; re-run the same command with --resume to replay journaled
-cells and execute only the remainder."
-    );
-    ExitCode::from(2)
+cells and execute only the remainder.
+
+A flag the subcommand does not list is rejected. EXIT STATUS: 0 success,
+1 simulation or accounting failure, 2 usage or config error, 130
+interrupted sweep.";
+
+/// One subcommand: the flags it declares and the function that runs it.
+struct Command {
+    name: &'static str,
+    /// Space-separated flags that take a value.
+    values: &'static str,
+    /// Space-separated flags that take none.
+    switches: &'static str,
+    run: fn(&Flags) -> Result<ExitCode, String>,
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        let Some(key) = a.strip_prefix("--") else {
-            return Err(format!("unexpected argument {a:?}"));
+const COMMANDS: [Command; 11] = [
+    Command {
+        name: "list",
+        values: "",
+        switches: "",
+        run: cmd_list,
+    },
+    Command {
+        name: "run",
+        values: "workload n engine threads regs policy group-evict max-cycles topology",
+        switches: "no-verify switch-prefetch",
+        run: cmd_run,
+    },
+    Command {
+        name: "sweep",
+        values: "jobs workloads n threads engines json max-retries budget-retries \
+                 budget-factor budget-cap deadline",
+        switches: "resume",
+        run: cmd_sweep,
+    },
+    Command {
+        name: "campaign",
+        values: "workload n engine threads regs faults seed protection sites topology fault-class",
+        switches: "multi-fault",
+        run: cmd_campaign,
+    },
+    Command {
+        name: "ras",
+        values: "workload n engine threads regs faults seed fault-class scrub-interval \
+                 ce-leak-interval spare-rows spare-ways ce-threshold protection",
+        switches: "",
+        run: cmd_ras,
+    },
+    Command {
+        name: "serve",
+        values: "cores tasks rate engine threads regs n queue-depth deadline quarantine-after \
+                 protection faults sticky-cores stuck-cores spare-rows seed topology link-faults",
+        switches: "no-verify",
+        run: cmd_serve,
+    },
+    Command {
+        name: "noc",
+        values: "workload n threads faults seed topology",
+        switches: "",
+        run: cmd_noc,
+    },
+    Command {
+        name: "lint",
+        values: "n",
+        switches: "broken-fixture",
+        run: cmd_lint,
+    },
+    Command {
+        name: "tv",
+        values: "",
+        switches: "broken-fixture",
+        run: cmd_tv,
+    },
+    Command {
+        name: "tune",
+        values: "n threads strategy budgets capacities area-budget",
+        switches: "",
+        run: cmd_tune,
+    },
+    Command {
+        name: "area",
+        values: "threads regs",
+        switches: "",
+        run: cmd_area,
+    },
+];
+
+/// A subcommand's flags, parsed against its declarations.
+struct Flags {
+    values: HashMap<&'static str, String>,
+    switches: Vec<&'static str>,
+}
+
+impl Flags {
+    /// Parses `args` for `cmd`: a stray argument, an undeclared flag, or a
+    /// value flag without its value is a usage error.
+    fn parse(cmd: &Command, args: &[String]) -> Result<Flags, String> {
+        let mut flags = Flags {
+            values: HashMap::new(),
+            switches: Vec::new(),
         };
-        // Boolean flags.
-        if matches!(
-            key,
-            "no-verify" | "switch-prefetch" | "resume" | "broken-fixture" | "multi-fault"
-        ) {
-            out.insert(key.to_string(), "true".to_string());
-            i += 1;
-            continue;
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                return Err(format!("error: unexpected argument {arg:?}"));
+            };
+            if let Some(key) = cmd.switches.split_whitespace().find(|&s| s == key) {
+                flags.switches.push(key);
+            } else if let Some(key) = cmd.values.split_whitespace().find(|&v| v == key) {
+                let value = args
+                    .next()
+                    .ok_or_else(|| format!("error: --{key} needs a value"))?;
+                flags.values.insert(key, value.clone());
+            } else {
+                let declared: Vec<String> = cmd
+                    .values
+                    .split_whitespace()
+                    .chain(cmd.switches.split_whitespace())
+                    .map(|f| format!("--{f}"))
+                    .collect();
+                return Err(format!(
+                    "error: unknown flag --{key} for `virec-cli {}`; accepted flags: [{}]",
+                    cmd.name,
+                    declared.join(" ")
+                ));
+            }
         }
-        let Some(val) = args.get(i + 1) else {
-            return Err(format!("--{key} needs a value"));
-        };
-        out.insert(key.to_string(), val.clone());
-        i += 2;
+        Ok(flags)
     }
-    Ok(out)
+
+    /// Whether switch `--key` was given.
+    fn on(&self, key: &str) -> bool {
+        self.switches.contains(&key)
+    }
+
+    /// The raw value of `--key`.
+    fn str(&self, key: &str) -> Option<&str> {
+        self.values.get(key).map(String::as_str)
+    }
+
+    /// `--key` parsed as `T` (`None` when absent); a value that does not
+    /// parse is a usage error naming the flag.
+    fn get<T: FromStr>(&self, key: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.str(key)
+            .map(|s| s.parse().map_err(|e| format!("error: --{key} {s:?}: {e}")))
+            .transpose()
+    }
+
+    /// `--key` parsed as `T`, or `default` when absent.
+    fn or<T: FromStr>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        Ok(self.get(key)?.unwrap_or(default))
+    }
 }
 
-fn parse_policy(s: &str) -> Option<PolicyKind> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "lrc" => PolicyKind::Lrc,
-        "mrt-plru" | "mrtplru" => PolicyKind::MrtPlru,
-        "plru" => PolicyKind::Plru,
-        "lru" => PolicyKind::Lru,
-        "mrt-lru" | "mrtlru" => PolicyKind::MrtLru,
-        "fifo" => PolicyKind::Fifo,
-        "random" => PolicyKind::Random,
-        _ => return None,
+/// A comma-separated list flag (`--budgets 2,8`).
+struct List(Vec<usize>);
+
+impl FromStr for List {
+    type Err = std::num::ParseIntError;
+
+    fn from_str(s: &str) -> Result<List, Self::Err> {
+        s.split(',')
+            .map(|p| p.trim().parse())
+            .collect::<Result<_, _>>()
+            .map(List)
+    }
+}
+
+/// The workload and core shape `run`, `campaign`, `ras`, `serve` and `noc`
+/// share: `--workload`, `--n`, `--threads`, `--regs` and `--seed`.
+struct Target {
+    workload: Workload,
+    n: u64,
+    threads: usize,
+    /// Defaults to every thread's whole active context, and at least the
+    /// 12-entry in-flight window.
+    regs: usize,
+    seed: u64,
+}
+
+impl Target {
+    /// Reads the shared flags; `--workload` is required when `workload`
+    /// names no default.
+    fn parse(f: &Flags, workload: Option<&str>, n: u64, threads: usize) -> Result<Target, String> {
+        let name = f
+            .str("workload")
+            .or(workload)
+            .ok_or_else(|| "error: --workload is required (see `virec-cli list`)".to_string())?;
+        let n = f.get("n")?.map_or(n, NonZeroU64::get);
+        let threads = f.get("threads")?.map_or(threads, NonZeroUsize::get);
+        let workload = by_name(name, n, Layout::for_core(0))
+            .ok_or_else(|| format!("error: unknown workload {name:?}; see `virec-cli list`"))?;
+        let full_context = threads.saturating_mul(workload.active_context_size());
+        Ok(Target {
+            regs: f.or("regs", full_context.max(12))?,
+            seed: f.get("seed")?.map_or(0xF00D_5EED, NonZeroU64::get),
+            workload,
+            n,
+            threads,
+        })
+    }
+}
+
+/// `--topology`, defaulting to the crossbar.
+fn fabric(f: &Flags) -> Result<FabricConfig, String> {
+    Ok(FabricConfig {
+        topology: f.or("topology", FabricTopology::Crossbar)?,
+        ..FabricConfig::default()
     })
 }
 
-/// Parses the shared `--topology` flag into a fabric config (crossbar when
-/// absent, so every legacy invocation is byte-identical).
-fn parse_fabric(flags: &HashMap<String, String>) -> Result<FabricConfig, String> {
-    let mut fabric = FabricConfig::default();
-    if let Some(t) = flags.get("topology") {
-        fabric.topology = t
-            .parse::<FabricTopology>()
-            .map_err(|e| format!("--topology: {e}"))?;
-    }
-    Ok(fabric)
+/// A configuration the library rejected, reported like a usage error.
+fn config_error(e: impl Display) -> String {
+    format!("error[config]: {e}")
 }
 
-fn cmd_run(flags: HashMap<String, String>) -> ExitCode {
-    let get = |k: &str| flags.get(k).map(|s| s.as_str());
-    let Some(wname) = get("workload") else {
-        eprintln!("error: --workload is required (see `virec-cli list`)");
-        return ExitCode::from(2);
-    };
-    let n: u64 = get("n").map_or(Ok(4096), str::parse).unwrap_or(0);
-    let threads: usize = get("threads").map_or(Ok(8), str::parse).unwrap_or(0);
-    if n == 0 || threads == 0 {
-        eprintln!("error: invalid --n or --threads");
-        return ExitCode::from(2);
+/// Reports a failed run: a rejected configuration is a usage error (exit
+/// 2, through `main`); anything else failed the simulation (exit 1).
+fn run_failed(e: SimError, context: &str) -> Result<ExitCode, String> {
+    if e.kind() == "config" {
+        return Err(config_error(e));
     }
-    let Some(workload) = by_name(wname, n, Layout::for_core(0)) else {
-        eprintln!("error: unknown workload {wname:?}; see `virec-cli list`");
-        return ExitCode::from(2);
-    };
-    let default_regs = (threads * workload.active_context_size()).max(12);
-    let regs: usize = get("regs")
-        .map_or(Ok(default_regs), str::parse)
-        .unwrap_or(0);
-    if regs == 0 {
-        eprintln!("error: invalid --regs");
-        return ExitCode::from(2);
-    }
+    // One structured line: machine-greppable kind, then the full error
+    // (which carries the diagnostics summary).
+    eprintln!("error[{}]: {context}{e}", e.kind());
+    Ok(ExitCode::FAILURE)
+}
 
-    let engine = get("engine").unwrap_or("virec");
+fn cmd_list(_: &Flags) -> Result<ExitCode, String> {
+    println!("available workloads:");
+    for name in suite_names() {
+        let w = by_name(name, 64, Layout::for_core(0)).expect("suite entry");
+        println!(
+            "  {name:<15} active context = {:>2} registers, {} static instrs",
+            w.active_context_size(),
+            w.program().len()
+        );
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_run(f: &Flags) -> Result<ExitCode, String> {
+    let t = Target::parse(f, None, 4096, 8)?;
+    let ctx = t.workload.active_context_size();
+    let engine = f.str("engine").unwrap_or("virec");
     let mut cfg = match engine {
-        "virec" => CoreConfig::virec(threads, regs),
-        "banked" => CoreConfig::banked(threads),
-        "software" => CoreConfig::software(threads),
-        "prefetch_full" => CoreConfig::prefetch_full(threads, workload.active_context_size()),
-        "prefetch_exact" => CoreConfig::prefetch_exact(threads, workload.active_context_size()),
-        "nsf" => CoreConfig::nsf(threads, regs),
-        other => {
-            eprintln!("error: unknown engine {other:?}");
-            return ExitCode::from(2);
-        }
+        "virec" => CoreConfig::virec(t.threads, t.regs),
+        "banked" => CoreConfig::banked(t.threads),
+        "software" => CoreConfig::software(t.threads),
+        "prefetch_full" => CoreConfig::prefetch_full(t.threads, ctx),
+        "prefetch_exact" => CoreConfig::prefetch_exact(t.threads, ctx),
+        "nsf" => CoreConfig::nsf(t.threads, t.regs),
+        other => return Err(format!("error: unknown engine {other:?}")),
     };
-    if let Some(p) = get("policy") {
-        let Some(p) = parse_policy(p) else {
-            eprintln!("error: unknown policy {p:?}");
-            return ExitCode::from(2);
-        };
-        cfg.policy = p;
-    }
-    if let Some(g) = get("group-evict") {
-        cfg.group_evict = g.parse().unwrap_or(1);
-    }
-    if get("switch-prefetch").is_some() {
-        cfg.switch_prefetch = true;
-    }
-    if let Some(c) = get("max-cycles") {
-        let Ok(c) = c.parse() else {
-            eprintln!("error: invalid --max-cycles");
-            return ExitCode::from(2);
-        };
-        cfg.max_cycles = c;
-    }
-    let fabric = match parse_fabric(&flags) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    cfg.policy = f.or("policy", cfg.policy)?;
+    cfg.group_evict = f.or("group-evict", cfg.group_evict)?;
+    cfg.switch_prefetch = f.on("switch-prefetch");
+    cfg.max_cycles = f.or("max-cycles", cfg.max_cycles)?;
     let opts = RunOptions {
-        verify: get("no-verify").is_none(),
-        fabric,
+        verify: !f.on("no-verify"),
+        fabric: fabric(f)?,
         ..RunOptions::default()
     };
 
     let result = if cfg.engine == EngineKind::PrefetchExact {
-        try_run_prefetch_exact(
-            threads,
-            workload.active_context_size(),
-            &workload,
-            opts.fabric,
-            &opts.gate,
-        )
+        try_run_prefetch_exact(t.threads, ctx, &t.workload, opts.fabric, &opts.gate)
     } else {
-        try_run_single(cfg, &workload, &opts)
+        try_run_single(cfg, &t.workload, &opts)
     };
     let result = match result {
         Ok(r) => r,
-        Err(e) => {
-            // One structured line: machine-greppable kind, then the full
-            // error (which carries the diagnostics summary).
-            eprintln!("error[{}]: {e}", e.kind());
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return run_failed(e, ""),
     };
 
-    println!("workload          : {} (n={n})", workload.name);
+    println!("workload          : {} (n={})", t.workload.name, t.n);
     println!(
-        "engine            : {engine}, {threads} threads, {regs} regs, policy {:?}",
-        cfg.policy
+        "engine            : {engine}, {} threads, {} regs, policy {:?}",
+        t.threads, t.regs, cfg.policy
     );
     print!("{}", result.stats.report());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `virec-cli sweep` — a workloads × engines grid on the parallel
 /// experiment executor. Tables and JSON are byte-identical for any
 /// `--jobs`; a failed cell degrades to a FAILED row without aborting its
 /// siblings, but does fail the exit status (for CI smoke use).
-fn cmd_sweep(flags: HashMap<String, String>) -> ExitCode {
-    let get = |k: &str| flags.get(k).map(|s| s.as_str());
-    let n: u64 = get("n").map_or(Ok(1024), str::parse).unwrap_or(0);
-    let threads: usize = get("threads").map_or(Ok(8), str::parse).unwrap_or(0);
-    let jobs: usize = get("jobs")
-        .map_or_else(|| Ok(harness::jobs()), str::parse)
-        .unwrap_or(0);
-    if n == 0 || threads == 0 || jobs == 0 {
-        eprintln!("error: invalid --n, --threads or --jobs");
-        return ExitCode::from(2);
-    }
-    let workloads: Vec<String> = match get("workloads") {
+fn cmd_sweep(f: &Flags) -> Result<ExitCode, String> {
+    let n = f.get("n")?.map_or(1024, NonZeroU64::get);
+    let threads = f.get("threads")?.map_or(8, NonZeroUsize::get);
+    let jobs = f.get("jobs")?.map_or_else(harness::jobs, NonZeroUsize::get);
+    let workloads: Vec<String> = match f.str("workloads") {
         None => suite_names().iter().map(|s| s.to_string()).collect(),
-        Some(list) => {
-            let names: Vec<String> = list.split(',').map(str::to_string).collect();
-            for name in &names {
-                if by_name(name, 64, Layout::for_core(0)).is_none() {
-                    eprintln!("error: unknown workload {name:?}; see `virec-cli list`");
-                    return ExitCode::from(2);
-                }
-            }
-            names
-        }
+        Some(list) => list
+            .split(',')
+            .map(|name| match by_name(name, 64, Layout::for_core(0)) {
+                Some(_) => Ok(name.to_string()),
+                None => Err(format!(
+                    "error: unknown workload {name:?}; see `virec-cli list`"
+                )),
+            })
+            .collect::<Result<_, _>>()?,
     };
-    let engine_list = get("engines").unwrap_or("banked,virec40,virec80");
-    let mut engines = Vec::new();
-    for s in engine_list.split(',') {
-        let Some(e) = EngineSel::parse(s) else {
-            eprintln!("error: unknown sweep engine {s:?} (see usage)");
-            return ExitCode::from(2);
-        };
-        engines.push(e);
-    }
+    let engines = f
+        .str("engines")
+        .unwrap_or("banked,virec40,virec80")
+        .split(',')
+        .map(|s| {
+            EngineSel::parse(s)
+                .ok_or_else(|| format!("error: unknown sweep engine {s:?} (see usage)"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let defaults = RetryPolicy::default();
     let retry = RetryPolicy {
         // `--budget-retries` is the pre-generalization spelling; keep it
         // as an alias so existing scripts stay valid.
-        max_retries: get("max-retries")
-            .or_else(|| get("budget-retries"))
-            .map_or(Ok(defaults.max_retries), str::parse)
-            .unwrap_or(u32::MAX),
-        budget_factor: get("budget-factor")
-            .map_or(Ok(defaults.budget_factor), str::parse)
-            .unwrap_or(0),
-        scale_cap: get("budget-cap")
-            .map_or(Ok(defaults.scale_cap), str::parse)
-            .unwrap_or(0),
+        max_retries: f.or("max-retries", f.or("budget-retries", defaults.max_retries)?)?,
+        budget_factor: f
+            .get("budget-factor")?
+            .map_or(defaults.budget_factor, NonZeroU64::get),
+        scale_cap: f
+            .get("budget-cap")?
+            .map_or(defaults.scale_cap, NonZeroU64::get),
     };
-    if retry.max_retries == u32::MAX || retry.budget_factor == 0 || retry.scale_cap == 0 {
-        eprintln!("error: invalid --max-retries, --budget-factor or --budget-cap");
-        return ExitCode::from(2);
-    }
 
     // Resume/deadline come from the environment too (VIREC_RESUME,
     // VIREC_DEADLINE_MS, VIREC_INTERRUPT_AFTER); explicit flags win.
     let mut ctl = harness::SweepControl::from_env_and_args();
-    if get("resume").is_some() {
-        ctl.resume = true;
-    }
-    if let Some(ms) = get("deadline") {
-        let Ok(ms) = ms.parse() else {
-            eprintln!("error: invalid --deadline");
-            return ExitCode::from(2);
-        };
-        ctl.deadline_ms = ms;
-    }
+    ctl.resume |= f.on("resume");
+    ctl.deadline_ms = f.or("deadline", ctl.deadline_ms)?;
 
     let sweep = SuiteSweep {
         name: "sweep".into(),
@@ -325,7 +439,8 @@ fn cmd_sweep(flags: HashMap<String, String>) -> ExitCode {
     if let Some(k) = ctl.interrupt_after {
         exec = exec.with_interrupt_after(k);
     }
-    let dir = get("json")
+    let dir = f
+        .str("json")
         .map(std::path::PathBuf::from)
         .or_else(harness::results_dir);
     let journal = dir.as_ref().map(|d| JournalConfig {
@@ -351,7 +466,7 @@ fn cmd_sweep(flags: HashMap<String, String>) -> ExitCode {
              command with --resume to pick up where this sweep left off",
             res.skipped()
         );
-        return ExitCode::from(130);
+        return Ok(ExitCode::from(130));
     }
     print!("{}", sweep.render(&res));
     if let Some(dir) = dir {
@@ -361,50 +476,28 @@ fn cmd_sweep(flags: HashMap<String, String>) -> ExitCode {
         }
     }
     res.print_failures();
-    if res.all_ok() {
+    Ok(if res.all_ok() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
-fn cmd_campaign(flags: HashMap<String, String>) -> ExitCode {
-    let get = |k: &str| flags.get(k).map(|s| s.as_str());
-    let wname = get("workload").unwrap_or("gather");
-    let n: u64 = get("n").map_or(Ok(1024), str::parse).unwrap_or(0);
-    let threads: usize = get("threads").map_or(Ok(4), str::parse).unwrap_or(0);
-    let faults: usize = get("faults").map_or(Ok(64), str::parse).unwrap_or(0);
-    let seed: u64 = get("seed").map_or(Ok(0xF00D_5EED), str::parse).unwrap_or(0);
-    if n == 0 || threads == 0 || faults == 0 || seed == 0 {
-        eprintln!("error: invalid --n, --threads, --faults or --seed");
-        return ExitCode::from(2);
-    }
-    let Some(workload) = by_name(wname, n, Layout::for_core(0)) else {
-        eprintln!("error: unknown workload {wname:?}; see `virec-cli list`");
-        return ExitCode::from(2);
-    };
-    let regs: usize = get("regs")
-        .map_or(
-            Ok((threads * workload.active_context_size()).max(12)),
-            |s| s.parse(),
-        )
-        .unwrap_or(0);
-    let engine = get("engine").unwrap_or("virec");
+fn cmd_campaign(f: &Flags) -> Result<ExitCode, String> {
+    let t = Target::parse(f, Some("gather"), 1024, 4)?;
+    let faults = f.get("faults")?.map_or(64, NonZeroUsize::get);
+    let engine = f.str("engine").unwrap_or("virec");
     let (cfg, engine_sites) = match engine {
-        "virec" => (CoreConfig::virec(threads, regs), &FaultSite::ALL[..]),
-        "banked" => (CoreConfig::banked(threads), &FaultSite::NON_VRMU[..]),
+        "virec" => (CoreConfig::virec(t.threads, t.regs), &FaultSite::ALL[..]),
+        "banked" => (CoreConfig::banked(t.threads), &FaultSite::NON_VRMU[..]),
         other => {
-            eprintln!("error: campaign supports virec|banked, not {other:?}");
-            return ExitCode::from(2);
+            return Err(format!(
+                "error: campaign supports virec|banked, not {other:?}"
+            ))
         }
     };
-    let fabric = match parse_fabric(&flags) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    cfg.validate().map_err(config_error)?;
+    let fabric = fabric(f)?;
     let mesh = fabric.topology != FabricTopology::Crossbar;
     // --sites narrows the injection surface; sites the chosen engine does
     // not have (VRMU structures on banked) are rejected, not ignored. The
@@ -412,46 +505,30 @@ fn cmd_campaign(flags: HashMap<String, String>) -> ExitCode {
     // links to corrupt.
     let site_exists =
         |s: &FaultSite| engine_sites.contains(s) || (*s == FaultSite::NocLink && mesh);
-    let sites: Vec<FaultSite> = match get("sites") {
+    let sites: Vec<FaultSite> = match f.str("sites") {
         None => engine_sites.to_vec(),
-        Some(list) => match parse_sites(list) {
-            Ok(requested) => {
-                if let Some(bad) = requested.iter().find(|s| !site_exists(s)) {
-                    if *bad == FaultSite::NocLink {
-                        eprintln!(
-                            "error: site noc-link needs a mesh fabric \
-                             (pass --topology mesh<C>x<R>)"
-                        );
-                    } else {
-                        eprintln!("error: site {bad} does not exist on the {engine} engine");
-                    }
-                    return ExitCode::from(2);
+        Some(list) => {
+            let requested = parse_sites(list).map_err(|e| format!("error: --sites: {e}"))?;
+            match requested.iter().find(|s| !site_exists(s)) {
+                Some(FaultSite::NocLink) => {
+                    return Err("error: site noc-link needs a mesh fabric \
+                                (pass --topology mesh<C>x<R>)"
+                        .into())
                 }
-                requested
+                Some(bad) => {
+                    return Err(format!(
+                        "error: site {bad} does not exist on the {engine} engine"
+                    ))
+                }
+                None => requested,
             }
-            Err(e) => {
-                eprintln!("error: --sites: {e}");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let protection: ProtectionConfig = match get("protection").unwrap_or("none").parse() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: --protection: {e}");
-            return ExitCode::from(2);
         }
     };
-    let class: FaultClass = match get("fault-class").unwrap_or("transient").parse() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: --fault-class: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let protection = f.or("protection", ProtectionConfig::none())?;
+    let class = f.or("fault-class", FaultClass::Transient)?;
     let campaign = CampaignOptions {
         protection,
-        multi_fault: get("multi-fault").is_some(),
+        multi_fault: f.on("multi-fault"),
         // Mid-run recovery only makes sense with a detector in front of it.
         checkpoint_interval: if protection.is_none() {
             0
@@ -470,12 +547,12 @@ fn cmd_campaign(flags: HashMap<String, String>) -> ExitCode {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_campaign_with(cfg, &workload, faults, seed, &sites, &campaign)
+        run_campaign_with(cfg, &t.workload, faults, t.seed, &sites, &campaign)
     }));
     std::panic::set_hook(prev);
     let Ok(report) = report else {
         eprintln!("error[campaign]: the clean reference run failed");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     println!("{}", report.summary());
     if class.is_persistent() {
@@ -497,123 +574,76 @@ fn cmd_campaign(flags: HashMap<String, String>) -> ExitCode {
     }
     if !report.all_detected() {
         eprintln!("error[silent_fault]: an effectful fault escaped every checker");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     if !report.all_recovered() {
         eprintln!("error[unrecovered]: a detected injection did not recover on re-execution");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `virec-cli ras` — one protected run under a seeded persistent-fault
 /// plan with the RAS layer on, reporting what the scrubber, CE tracker,
 /// and spare pools did. A clean reference run sizes the injection window
 /// and provides the digest the degraded machine must still reproduce.
-fn cmd_ras(flags: HashMap<String, String>) -> ExitCode {
-    let get = |k: &str| flags.get(k).map(|s| s.as_str());
-    let wname = get("workload").unwrap_or("gather");
-    let n: u64 = get("n").map_or(Ok(1024), str::parse).unwrap_or(0);
-    let threads: usize = get("threads").map_or(Ok(4), str::parse).unwrap_or(0);
-    let faults: usize = get("faults").map_or(Ok(8), str::parse).unwrap_or(0);
-    let seed: u64 = get("seed").map_or(Ok(0xF00D_5EED), str::parse).unwrap_or(0);
-    if n == 0 || threads == 0 || faults == 0 || seed == 0 {
-        eprintln!("error: invalid --n, --threads, --faults or --seed");
-        return ExitCode::from(2);
-    }
-    let Some(workload) = by_name(wname, n, Layout::for_core(0)) else {
-        eprintln!("error: unknown workload {wname:?}; see `virec-cli list`");
-        return ExitCode::from(2);
-    };
-    let regs: usize = get("regs")
-        .map_or(
-            Ok((threads * workload.active_context_size()).max(12)),
-            |s| s.parse(),
-        )
-        .unwrap_or(0);
-    let engine = get("engine").unwrap_or("virec");
+fn cmd_ras(f: &Flags) -> Result<ExitCode, String> {
+    let t = Target::parse(f, Some("gather"), 1024, 4)?;
+    let faults = f.get("faults")?.map_or(8, NonZeroUsize::get);
+    let engine = f.str("engine").unwrap_or("virec");
     let (cfg, sites) = match engine {
-        "virec" => (CoreConfig::virec(threads, regs), &FaultSite::PERMANENT[..]),
+        "virec" => (
+            CoreConfig::virec(t.threads, t.regs),
+            &FaultSite::PERMANENT[..],
+        ),
         "banked" => (
-            CoreConfig::banked(threads),
+            CoreConfig::banked(t.threads),
             &FaultSite::PERMANENT_NON_VRMU[..],
         ),
-        other => {
-            eprintln!("error: ras supports virec|banked, not {other:?}");
-            return ExitCode::from(2);
-        }
+        other => return Err(format!("error: ras supports virec|banked, not {other:?}")),
     };
-    let class: FaultClass = match get("fault-class").unwrap_or("stuck-at").parse() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: --fault-class: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let class = f.or(
+        "fault-class",
+        FaultClass::StuckAt {
+            period: FaultClass::DEFAULT_PERIOD,
+        },
+    )?;
     if !class.is_persistent() {
-        eprintln!("error: the ras demo wants a persistent class (intermittent or stuck-at)");
-        return ExitCode::from(2);
+        return Err(
+            "error: the ras demo wants a persistent class (intermittent or stuck-at)".into(),
+        );
     }
-    let mut rc = RasConfig::default();
-    for (key, slot) in [
-        ("scrub-interval", &mut rc.scrub_interval),
-        ("ce-leak-interval", &mut rc.ce_leak_interval),
-    ] {
-        if let Some(v) = flags.get(key) {
-            let Ok(v) = v.parse() else {
-                eprintln!("error: invalid --{key}");
-                return ExitCode::from(2);
-            };
-            *slot = v;
-        }
-    }
-    for (key, slot) in [
-        ("spare-rows", &mut rc.spare_rows),
-        ("spare-ways", &mut rc.spare_ways),
-        ("ce-threshold", &mut rc.ce_threshold),
-    ] {
-        if let Some(v) = flags.get(key) {
-            let Ok(v) = v.parse() else {
-                eprintln!("error: invalid --{key}");
-                return ExitCode::from(2);
-            };
-            *slot = v;
-        }
-    }
-    // RAS needs a detector in front of it: default to SEC-DED.
-    let protection: ProtectionConfig = match get("protection").unwrap_or("secded").parse() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: --protection: {e}");
-            return ExitCode::from(2);
-        }
+    let d = RasConfig::default();
+    let rc = RasConfig {
+        scrub_interval: f.or("scrub-interval", d.scrub_interval)?,
+        ce_leak_interval: f.or("ce-leak-interval", d.ce_leak_interval)?,
+        spare_rows: f.or("spare-rows", d.spare_rows)?,
+        spare_ways: f.or("spare-ways", d.spare_ways)?,
+        ce_threshold: f.or("ce-threshold", d.ce_threshold)?,
+        ..d
     };
+    // RAS needs a detector in front of it: default to SEC-DED.
+    let protection = f.or("protection", ProtectionConfig::secded())?;
 
-    let clean = match try_run_single(cfg, &workload, &RunOptions::default()) {
+    let clean = match try_run_single(cfg, &t.workload, &RunOptions::default()) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error[{}]: clean reference run failed: {e}", e.kind());
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return run_failed(e, "clean reference run failed: "),
     };
     let opts = RunOptions {
-        faults: FaultPlan::seeded_class(seed, faults, (0, clean.cycles), sites, class),
+        faults: FaultPlan::seeded_class(t.seed, faults, (0, clean.cycles), sites, class),
         protection,
         checkpoint_interval: default_checkpoint_interval(),
         ras: Some(rc),
         ..RunOptions::default()
     };
-    let r = match try_run_single(cfg, &workload, &opts) {
+    let r = match try_run_single(cfg, &t.workload, &opts) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error[{}]: {e}", e.kind());
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return run_failed(e, ""),
     };
 
     println!(
-        "ras demo          : {} on {wname} (n={n}), {faults} {class} fault(s), seed {seed:#x}",
-        engine
+        "ras demo          : {engine} on {} (n={}), {faults} {class} fault(s), seed {:#x}",
+        t.workload.name, t.n, t.seed
     );
     println!(
         "cycles            : clean {} vs ras {} ({:+.1}%)",
@@ -638,13 +668,13 @@ fn cmd_ras(flags: HashMap<String, String>) -> ExitCode {
     }
     if r.arch_digest != clean.arch_digest {
         eprintln!("error[silent_fault]: degraded run diverged from the clean digest");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     println!(
         "arch digest       : {:#018x} (matches clean run)",
         r.arch_digest
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `virec-cli serve` — the fault-tolerant streaming task service: a seeded
@@ -652,132 +682,52 @@ fn cmd_ras(flags: HashMap<String, String>) -> ExitCode {
 /// admission queue, with retry, quarantine/failover, and typed shedding.
 /// Exits nonzero when any task is lost, any task resolves twice, or any
 /// completed task's state digest disagrees with the golden reference.
-fn cmd_serve(flags: HashMap<String, String>) -> ExitCode {
-    let get = |k: &str| flags.get(k).map(|s| s.as_str());
-    let cores: usize = get("cores").map_or(Ok(4), str::parse).unwrap_or(0);
-    let tasks: usize = get("tasks").map_or(Ok(128), str::parse).unwrap_or(0);
-    let threads: usize = get("threads").map_or(Ok(4), str::parse).unwrap_or(0);
-    let n: u64 = get("n").map_or(Ok(64), str::parse).unwrap_or(0);
-    let seed: u64 = get("seed").map_or(Ok(0xF00D_5EED), str::parse).unwrap_or(0);
-    if cores == 0 || tasks == 0 || threads == 0 || n == 0 || seed == 0 {
-        eprintln!("error: invalid --cores, --tasks, --threads, --n or --seed");
-        return ExitCode::from(2);
-    }
-    let engine = get("engine").unwrap_or("virec");
-    let core = match engine {
-        "virec" => {
-            let ctx = by_name("gather", n, Layout::for_core(0))
-                .expect("gather is a suite workload")
-                .active_context_size();
-            let regs: usize = get("regs")
-                .map_or(Ok((threads * ctx).max(12)), str::parse)
-                .unwrap_or(0);
-            if regs == 0 {
-                eprintln!("error: invalid --regs");
-                return ExitCode::from(2);
-            }
-            CoreConfig::virec(threads, regs)
-        }
-        "banked" => CoreConfig::banked(threads),
-        other => {
-            eprintln!("error: serve supports virec|banked, not {other:?}");
-            return ExitCode::from(2);
-        }
+fn cmd_serve(f: &Flags) -> Result<ExitCode, String> {
+    let t = Target::parse(f, Some("gather"), 64, 4)?;
+    let cores = f.get("cores")?.map_or(4, NonZeroUsize::get);
+    let tasks = f.get("tasks")?.map_or(128, NonZeroUsize::get);
+    let core = match f.str("engine").unwrap_or("virec") {
+        "virec" => CoreConfig::virec(t.threads, t.regs),
+        "banked" => CoreConfig::banked(t.threads),
+        other => return Err(format!("error: serve supports virec|banked, not {other:?}")),
     };
 
-    let mut cfg = ServeConfig::streaming(cores, core, tasks, seed);
-    cfg.mix = virec::sim::serve::default_mix(n);
-    cfg.verify = get("no-verify").is_none();
-    match parse_fabric(&flags) {
-        Ok(f) => cfg.fabric = f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    }
+    let mut cfg = ServeConfig::streaming(cores, core, tasks, t.seed);
+    cfg.mix = default_mix(t.n);
+    cfg.verify = !f.on("no-verify");
+    cfg.fabric = fabric(f)?;
     // --rate is in tasks per million cycles; the service wants the mean
     // inter-arrival gap in cycles.
-    if let Some(r) = get("rate") {
-        let Ok(rate) = r.parse::<f64>() else {
-            eprintln!("error: invalid --rate");
-            return ExitCode::from(2);
-        };
+    if let Some(rate) = f.get::<f64>("rate")? {
         if rate <= 0.0 {
-            eprintln!("error: --rate must be positive");
-            return ExitCode::from(2);
+            return Err("error: --rate must be positive".into());
         }
         cfg.mean_interarrival = ((1.0e6 / rate) as u64).max(1);
     }
-    if let Some(d) = get("queue-depth") {
-        cfg.queue_depth = d.parse().unwrap_or(0);
+    cfg.queue_depth = f.or("queue-depth", cfg.queue_depth)?;
+    cfg.deadline_cycles = f.or("deadline", cfg.deadline_cycles)?;
+    cfg.quarantine_after = f.or("quarantine-after", cfg.quarantine_after)?;
+    cfg.protection = f.or("protection", ProtectionConfig::none())?;
+    cfg.faults = ServeFaultPlan::campaign(f.or("faults", 0)?, f.or("sticky-cores", 0)?);
+    cfg.faults.stuck_cores = f.or("stuck-cores", 0)?;
+    cfg.faults.link_faults = f.or("link-faults", 0)?;
+    if cfg.faults.link_faults > 0 && cfg.fabric.topology == FabricTopology::Crossbar {
+        return Err(
+            "error: --link-faults needs a mesh fabric (pass --topology mesh<C>x<R>)".into(),
+        );
     }
-    if let Some(d) = get("deadline") {
-        let Ok(d) = d.parse() else {
-            eprintln!("error: invalid --deadline");
-            return ExitCode::from(2);
-        };
-        cfg.deadline_cycles = d;
-    }
-    if let Some(q) = get("quarantine-after") {
-        let Ok(q) = q.parse() else {
-            eprintln!("error: invalid --quarantine-after");
-            return ExitCode::from(2);
-        };
-        cfg.quarantine_after = q;
-    }
-    match get("protection").unwrap_or("none").parse() {
-        Ok(p) => cfg.protection = p,
-        Err(e) => {
-            eprintln!("error: --protection: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    let transient: usize = get("faults")
-        .map_or(Ok(0), str::parse)
-        .unwrap_or(usize::MAX);
-    let sticky: usize = get("sticky-cores")
-        .map_or(Ok(0), str::parse)
-        .unwrap_or(usize::MAX);
-    let stuck: usize = get("stuck-cores")
-        .map_or(Ok(0), str::parse)
-        .unwrap_or(usize::MAX);
-    let link_faults: usize = get("link-faults")
-        .map_or(Ok(0), str::parse)
-        .unwrap_or(usize::MAX);
-    if transient == usize::MAX
-        || sticky == usize::MAX
-        || stuck == usize::MAX
-        || link_faults == usize::MAX
-    {
-        eprintln!("error: invalid --faults, --sticky-cores, --stuck-cores or --link-faults");
-        return ExitCode::from(2);
-    }
-    if link_faults > 0 && cfg.fabric.topology == FabricTopology::Crossbar {
-        eprintln!("error: --link-faults needs a mesh fabric (pass --topology mesh<C>x<R>)");
-        return ExitCode::from(2);
-    }
-    cfg.faults = ServeFaultPlan::campaign(transient, sticky);
-    cfg.faults.stuck_cores = stuck;
-    cfg.faults.link_faults = link_faults;
-    if stuck > 0 {
+    if cfg.faults.stuck_cores > 0 {
         // Stuck-at defects are only survivable with the RAS layer on.
-        let mut rc = RasConfig::default();
-        if let Some(v) = get("spare-rows") {
-            let Ok(v) = v.parse() else {
-                eprintln!("error: invalid --spare-rows");
-                return ExitCode::from(2);
-            };
-            rc.spare_rows = v;
-        }
-        cfg.ras = Some(rc);
+        let d = RasConfig::default();
+        cfg.ras = Some(RasConfig {
+            spare_rows: f.or("spare-rows", d.spare_rows)?,
+            ..d
+        });
     }
 
     let report = match run_service(cfg) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error[{}]: {e}", e.kind());
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return run_failed(e, ""),
     };
     println!("{}", report.summary());
     if let Some(f) = &report.last_failure {
@@ -788,9 +738,9 @@ fn cmd_serve(flags: HashMap<String, String>) -> ExitCode {
             "error[accounting]: lost={} duplicated={} silent_corruptions={}",
             report.lost, report.duplicated, report.silent_corruptions
         );
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `virec-cli noc` — the mesh-NoC resilience demo, four legs on one mesh:
@@ -799,37 +749,20 @@ fn cmd_serve(flags: HashMap<String, String>) -> ExitCode {
 /// the flaky link and routes around it), one instrumented single run
 /// reporting the fabric's transport counters, and a faulty serve run whose
 /// link loss shows up in availability while no task is lost.
-fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
-    let get = |k: &str| flags.get(k).map(|s| s.as_str());
-    let wname = get("workload").unwrap_or("gather");
-    let n: u64 = get("n").map_or(Ok(512), str::parse).unwrap_or(0);
-    let threads: usize = get("threads").map_or(Ok(4), str::parse).unwrap_or(0);
-    let faults: usize = get("faults").map_or(Ok(32), str::parse).unwrap_or(0);
-    let seed: u64 = get("seed").map_or(Ok(0xF00D_5EED), str::parse).unwrap_or(0);
-    if n == 0 || threads == 0 || faults == 0 || seed == 0 {
-        eprintln!("error: invalid --n, --threads, --faults or --seed");
-        return ExitCode::from(2);
-    }
-    let Some(workload) = by_name(wname, n, Layout::for_core(0)) else {
-        eprintln!("error: unknown workload {wname:?}; see `virec-cli list`");
-        return ExitCode::from(2);
-    };
-    let mut fabric = match parse_fabric(&flags) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+fn cmd_noc(f: &Flags) -> Result<ExitCode, String> {
+    let t = Target::parse(f, Some("gather"), 512, 4)?;
+    let faults = f.get("faults")?.map_or(32, NonZeroUsize::get);
+    let mut fabric = fabric(f)?;
     if fabric.topology == FabricTopology::Crossbar {
         fabric.topology = FabricTopology::Mesh { cols: 2, rows: 2 };
     }
-    let regs = (threads * workload.active_context_size()).max(12);
-    let cfg = CoreConfig::virec(threads, regs);
+    let cfg = CoreConfig::virec(t.threads, t.regs);
+    cfg.validate().map_err(config_error)?;
+    let (workload, n, seed) = (&t.workload, t.n, t.seed);
     let sites = [FaultSite::NocLink];
     println!(
-        "noc demo          : virec on {wname} (n={n}), {} fabric, seed {seed:#x}",
-        fabric.topology
+        "noc demo          : virec on {} (n={n}), {} fabric, seed {seed:#x}",
+        workload.name, fabric.topology
     );
 
     // Leg 1 — transient wire upsets: the per-hop CRC catches every one and
@@ -838,11 +771,11 @@ fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
         fabric,
         ..CampaignOptions::default()
     };
-    let report = run_campaign_with(cfg, &workload, faults, seed, &sites, &transient);
+    let report = run_campaign_with(cfg, workload, faults, seed, &sites, &transient);
     println!("{}", report.summary());
     if !report.all_detected() || !report.all_recovered() {
         eprintln!("error[noc]: a transient link upset escaped the CRC layer");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
 
     // Leg 2 — stuck-at links under the full RAS stack: the CE leaky bucket
@@ -855,12 +788,12 @@ fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
         fabric,
         ..CampaignOptions::protected()
     };
-    let report = run_campaign_with(cfg, &workload, faults, seed, &sites, &stuck);
+    let report = run_campaign_with(cfg, workload, faults, seed, &sites, &stuck);
     println!("{}", report.summary());
     println!("{}", report.ras_summary());
     if !report.all_detected() || !report.all_recovered() {
         eprintln!("error[noc]: a stuck-at link fault was not contained");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
 
     // Leg 3 — one instrumented run: hammer the first mesh link with a
@@ -869,12 +802,9 @@ fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
         fabric,
         ..RunOptions::default()
     };
-    let clean = match try_run_single(cfg, &workload, &clean_opts) {
+    let clean = match try_run_single(cfg, workload, &clean_opts) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error[{}]: clean reference run failed: {e}", e.kind());
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return run_failed(e, "clean reference run failed: "),
     };
     let opts = RunOptions {
         faults: FaultPlan::single(virec::sim::FaultEvent {
@@ -890,12 +820,9 @@ fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
         fabric,
         ..RunOptions::default()
     };
-    let r = match try_run_single(cfg, &workload, &opts) {
+    let r = match try_run_single(cfg, workload, &opts) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error[{}]: {e}", e.kind());
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return run_failed(e, ""),
     };
     println!(
         "noc: hops={} crc_detected={} retransmissions={} links_retired={} links_fenced={}",
@@ -910,7 +837,7 @@ fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
     }
     if r.arch_digest != clean.arch_digest {
         eprintln!("error[silent_fault]: the degraded mesh diverged from the clean digest");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     println!(
         "arch digest       : {:#018x} (matches clean run)",
@@ -921,16 +848,13 @@ fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
     // campaign: capacity shrinks with the lost links, accounting stays
     // exact.
     let mut scfg = ServeConfig::streaming(4, CoreConfig::banked(2), 32, seed);
-    scfg.mix = virec::sim::serve::default_mix(n.min(64));
+    scfg.mix = default_mix(n.min(64));
     scfg.fabric = fabric;
     scfg.faults = ServeFaultPlan::links(9);
     scfg.ras = Some(RasConfig::default());
     let report = match run_service(scfg) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error[{}]: {e}", e.kind());
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return run_failed(e, ""),
     };
     println!("{}", report.summary());
     if report.lost > 0 || report.duplicated > 0 || report.silent_corruptions > 0 {
@@ -938,9 +862,9 @@ fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
             "error[accounting]: lost={} duplicated={} silent_corruptions={}",
             report.lost, report.duplicated, report.silent_corruptions
         );
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `virec-cli lint` — the static-analysis gate: every built-in workload
@@ -948,9 +872,8 @@ fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
 /// clean. `--broken-fixture` lints a deliberately malformed program instead
 /// (the CI negative control: it must exit nonzero with a stable
 /// diagnostic).
-fn cmd_lint(flags: HashMap<String, String>) -> ExitCode {
-    let get = |k: &str| flags.get(k).map(|s| s.as_str());
-    if get("broken-fixture").is_some() {
+fn cmd_lint(f: &Flags) -> Result<ExitCode, String> {
+    if f.on("broken-fixture") {
         let diags = lint_program(&broken_fixture(), &LintConfig::default());
         for d in &diags {
             println!("broken-fixture: {d}");
@@ -961,14 +884,10 @@ fn cmd_lint(flags: HashMap<String, String>) -> ExitCode {
         // Nonzero either way: with diagnostics (the designed outcome) so
         // CI can assert the gate rejects malformed programs, and without
         // them because a gate that passes its negative control is broken.
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
 
-    let n: u64 = get("n").map_or(Ok(256), str::parse).unwrap_or(0);
-    if n == 0 {
-        eprintln!("error: invalid --n");
-        return ExitCode::from(2);
-    }
+    let n = f.get("n")?.map_or(256, NonZeroU64::get);
     let lints = lint_everything(n);
     let mut dirty = 0usize;
     for l in &lints {
@@ -986,15 +905,15 @@ fn cmd_lint(flags: HashMap<String, String>) -> ExitCode {
         lints.len(),
         dirty
     );
-    if dirty == 0 {
+    Ok(if dirty == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
-fn cmd_tv(flags: HashMap<String, String>) -> ExitCode {
-    if flags.contains_key("broken-fixture") {
+fn cmd_tv(f: &Flags) -> Result<ExitCode, String> {
+    if f.on("broken-fixture") {
         let r = broken_spill_report();
         for v in &r.violations {
             println!("broken-fixture: {v}");
@@ -1006,7 +925,7 @@ fn cmd_tv(flags: HashMap<String, String>) -> ExitCode {
             );
         }
         // Nonzero either way, mirroring `lint --broken-fixture`.
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
 
     let reports = tv_compiled_budgets();
@@ -1025,79 +944,44 @@ fn cmd_tv(flags: HashMap<String, String>) -> ExitCode {
         }
     }
     println!("tv: {} program(s), {} with violations", reports.len(), bad);
-    if bad == 0 {
+    Ok(if bad == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
-fn cmd_tune(flags: HashMap<String, String>) -> ExitCode {
-    let get = |k: &str| flags.get(k).map(|s| s.as_str());
-    let mut cfg = TuneConfig::default();
-    if let Some(s) = get("n") {
-        match s.parse() {
-            Ok(n) if n > 0 => cfg.n = n,
-            _ => {
-                eprintln!("error: invalid --n");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(s) = get("threads") {
-        match s.parse() {
-            Ok(t) if t > 0 => cfg.nthreads = t,
-            _ => {
-                eprintln!("error: invalid --threads");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    match get("strategy") {
-        None | Some("graph") => cfg.strategy = AllocStrategy::GraphColor,
-        Some("linear") => cfg.strategy = AllocStrategy::LinearScan,
-        Some(s) => {
-            eprintln!("error: unknown strategy {s:?} (graph|linear)");
-            return ExitCode::from(2);
-        }
-    }
-    let parse_list = |s: &str| -> Result<Vec<usize>, String> {
-        s.split(',')
-            .map(|p| p.trim().parse::<usize>().map_err(|_| p.to_string()))
-            .collect::<Result<_, _>>()
-            .map_err(|p| format!("invalid list element {p:?}"))
+fn cmd_tune(f: &Flags) -> Result<ExitCode, String> {
+    let d = TuneConfig::default();
+    let strategy = match f.str("strategy") {
+        None | Some("graph") => AllocStrategy::GraphColor,
+        Some("linear") => AllocStrategy::LinearScan,
+        Some(s) => return Err(format!("error: unknown strategy {s:?} (graph|linear)")),
     };
-    if let Some(s) = get("budgets") {
-        match parse_list(s) {
-            Ok(b) if !b.is_empty() => cfg.budgets = b,
-            _ => {
-                eprintln!("error: invalid --budgets");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(s) = get("capacities") {
-        match parse_list(s) {
-            Ok(c) if !c.is_empty() => cfg.capacities = c,
-            _ => {
-                eprintln!("error: invalid --capacities");
-                return ExitCode::from(2);
-            }
-        }
-    }
+    let cfg = TuneConfig {
+        n: f.get("n")?.map_or(d.n, NonZeroU64::get),
+        nthreads: f.get("threads")?.map_or(d.nthreads, NonZeroUsize::get),
+        budgets: f.get("budgets")?.map_or(d.budgets, |l: List| l.0),
+        capacities: f.get("capacities")?.map_or(d.capacities, |l: List| l.0),
+        strategy,
+    };
+    let envelope: Option<f64> = f.get("area-budget")?;
     // Surface out-of-range budgets as the allocator's typed diagnostic
     // instead of a panic deep inside the sweep.
     for &b in &cfg.budgets {
-        if let Err(e) = regalloc::pool(b) {
-            eprintln!("error[alloc]: {e}");
-            return ExitCode::from(2);
-        }
+        regalloc::pool(b).map_err(|e| format!("error[alloc]: {e}"))?;
     }
+    // A capacity the core rejects only drops its own points; when even the
+    // largest one is rejected, no point can complete.
+    let largest = cfg.capacities.iter().copied().max().unwrap_or_default();
+    CoreConfig::virec(cfg.nthreads, largest)
+        .validate()
+        .map_err(config_error)?;
 
     let points = tune_sweep(&cfg);
     if points.is_empty() {
         eprintln!("error: no sweep point completed (capacities too small?)");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     println!(
         "tune: {} point(s) over budgets {:?} x capacities {:?} (strategy={}, n={}, threads={})",
@@ -1129,11 +1013,7 @@ fn cmd_tune(flags: HashMap<String, String>) -> ExitCode {
             p.budget, p.capacity, p.cycles, p.area_mm2, p.spill_loads
         );
     }
-    if let Some(s) = get("area-budget") {
-        let Ok(envelope) = s.parse::<f64>() else {
-            eprintln!("error: invalid --area-budget");
-            return ExitCode::from(2);
-        };
+    if let Some(envelope) = envelope {
         match pick_for_area(&points, envelope) {
             Some(p) => println!(
                 "pick: area envelope {envelope:.4} mm2 -> budget={} capacity={} \
@@ -1142,22 +1022,16 @@ fn cmd_tune(flags: HashMap<String, String>) -> ExitCode {
             ),
             None => {
                 eprintln!("error: no point fits the {envelope:.4} mm2 envelope");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_area(flags: HashMap<String, String>) -> ExitCode {
-    let threads: usize = flags
-        .get("threads")
-        .map_or(Ok(8), |s| s.parse())
-        .unwrap_or(8);
-    let regs: usize = flags
-        .get("regs")
-        .map_or(Ok(64), |s| s.parse())
-        .unwrap_or(64);
+fn cmd_area(f: &Flags) -> Result<ExitCode, String> {
+    let threads: usize = f.or("threads", 8)?;
+    let regs: usize = f.or("regs", 64)?;
     let m = AreaModel::default();
     println!("area model (45 nm):");
     println!("  base core          : {:.3} mm²", m.base_core_mm2);
@@ -1203,97 +1077,23 @@ fn cmd_area(flags: HashMap<String, String>) -> ExitCode {
         "  savings vs banked  : {:.1}%  (both designs with ECC + RAS)",
         100.0 * (1.0 - r.virec_core(&m, &e, regs) / r.banked_core(&m, &e, threads))
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return usage();
+    let Some(cmd) = args
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.name == name))
+    else {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
     };
-    match cmd.as_str() {
-        "list" => {
-            println!("available workloads:");
-            for name in suite_names() {
-                let w = by_name(name, 64, Layout::for_core(0)).expect("suite entry");
-                println!(
-                    "  {name:<15} active context = {:>2} registers, {} static instrs",
-                    w.active_context_size(),
-                    w.program().len()
-                );
-            }
-            ExitCode::SUCCESS
+    match Flags::parse(cmd, &args[1..]).and_then(|f| (cmd.run)(&f)) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::from(2)
         }
-        "run" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_run(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "sweep" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_sweep(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "campaign" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_campaign(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "ras" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_ras(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "serve" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_serve(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "noc" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_noc(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "lint" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_lint(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "tv" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_tv(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "tune" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_tune(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "area" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_area(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        _ => usage(),
     }
 }

@@ -59,9 +59,10 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 
 #[test]
 fn failing_cell_degrades_without_aborting_siblings() {
-    // One starved cell (a cycle budget no retry can rescue) in the middle
-    // of healthy siblings, executed in parallel: it must surface as a
-    // structured FAILED row while every sibling completes.
+    // One starved cell (a cycle budget no retry can rescue) and one invalid
+    // ViReC configuration in the middle of healthy siblings, executed in
+    // parallel: each must surface as a structured FAILED row while every
+    // sibling completes.
     let build = builder(kernels::spatter::gather, 256, Layout::for_core(0));
     let mut starved = CoreConfig::virec(4, 32);
     starved.max_cycles = 50;
@@ -70,14 +71,19 @@ fn failing_cell_degrades_without_aborting_siblings() {
     let opts = Default::default();
     spec.single("before", build.clone(), CoreConfig::banked(4), &opts);
     spec.single("starved", build.clone(), starved, &opts);
+    spec.single("tiny_rf", build.clone(), CoreConfig::virec(4, 4), &opts);
     spec.single("after_a", build.clone(), CoreConfig::virec(4, 32), &opts);
     spec.single("after_b", build, CoreConfig::software(4), &opts);
     let res = Executor::new(4).run(&spec);
 
-    assert_eq!(res.failed(), 1);
+    assert_eq!(res.failed(), 2);
     match &res.cell("starved").outcome {
         CellOutcome::Failed { kind, .. } => assert_eq!(*kind, "cycle_budget"),
         other => panic!("a 50-cycle budget cannot complete gather: {other:?}"),
+    }
+    match &res.cell("tiny_rf").outcome {
+        CellOutcome::Failed { kind, .. } => assert_eq!(*kind, "config"),
+        other => panic!("a 4-entry ViReC RF is an invalid config: {other:?}"),
     }
     for key in ["before", "after_a", "after_b"] {
         assert!(res.run(key).is_some(), "sibling {key} must complete");
@@ -86,6 +92,7 @@ fn failing_cell_degrades_without_aborting_siblings() {
     let json = res.to_json();
     assert!(json.contains("\"status\": \"failed\""));
     assert!(json.contains("\"error_kind\": \"cycle_budget\""));
+    assert!(json.contains("\"error_kind\": \"config\""));
     assert_eq!(json.matches("\"status\": \"ok\"").count(), 3);
 }
 
