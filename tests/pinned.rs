@@ -1,7 +1,7 @@
 //! Digest tripwire: literal cycle counts and architectural digests for a
 //! handful of small runs through every entry point of the simulator — the
 //! single-core runner in both loop modes, the golden reference, a
-//! multi-core `System`, a SEC-DED fault campaign and a mesh serve run.
+//! multi-core `System`, a SEC-DED fault campaign and three serve runs.
 //!
 //! The differential suites prove that two paths agree with each other;
 //! these constants prove that neither path moved. A refactor of the step
@@ -15,7 +15,7 @@ use virec::sim::serve::default_mix;
 use virec::sim::{
     golden_arch_digest, run_campaign_with, run_service, try_run_single, CampaignOptions,
     FaultClass, FaultPlan, FaultSite, ProtectionConfig, RasConfig, RunOptions, ServeConfig,
-    ServeFaultPlan, System, SystemConfig,
+    ServeFaultPlan, ServeReport, System, SystemConfig,
 };
 use virec::workloads::{kernels, Layout, WorkloadCtor};
 
@@ -174,4 +174,61 @@ cycle 1810: ras retired row behind 0x4e1e20 (spared)
 cycle 2048: ras vrmu way 28 retired (spared=true)
 cycle 2574: parity detected tag-value (tag-store[28] t2 x4 value bit 9); restored checkpoint @ cycle 2048 (replaying 526 cycles)";
     assert_eq!(got, want);
+}
+
+/// FNV-1a over the bytes of `s`.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
+/// Pins a whole serve report: its summary as text, and every other field
+/// (latency samples, epoch snapshots, fabric counters, last failure)
+/// through an FNV-1a of its debug rendering.
+fn assert_report_pinned(r: &ServeReport, summary: &str, debug_fnv: u64) {
+    assert_eq!(r.summary(), summary);
+    let debug = format!("{r:?}");
+    assert_eq!(fnv1a(&debug), debug_fnv, "{debug}");
+}
+
+#[test]
+fn faulty_crossbar_serve_report_is_pinned() {
+    // Transient and sticky faults under SEC-DED, a 400k-cycle SLO,
+    // quarantine and failover, and epoch snapshots.
+    let mut cfg = ServeConfig::streaming(3, CoreConfig::virec(2, 16), 48, 0xD1FF_5EED);
+    cfg.mix = default_mix(32);
+    cfg.mean_interarrival = 512;
+    cfg.faults = ServeFaultPlan::campaign(8, 1);
+    cfg.protection = ProtectionConfig::secded();
+    cfg.deadline_cycles = 400_000;
+    let r = run_service(cfg).expect("serve run completes");
+    let want = "\
+serve[virec]: submitted=48 completed=48 rejected_queue_full=0 rejected_quarantined=0 failed=0 lost=0 duplicated=0
+serve[virec]: faults injected=11 corrected=8 uncorrectable=3 silent_corruptions=0 retries=2 failovers=1 quarantined_cores=1
+serve[virec]: p50=2667 p99=4195 p999=4195 cycles, tasks_per_sec=1672940, availability=72.4%, goodput=100.0%
+serve[virec]: ras repairs=0 fenced_cores=0 spares_consumed=0";
+    assert_report_pinned(&r, want, 0x7D14_6CC0_2596_4D11);
+}
+
+#[test]
+fn repaired_and_fenced_serve_report_is_pinned() {
+    // Stuck-at cores with the RAS layer: one spare, so the pool runs dry
+    // and later defects are fenced.
+    let mut cfg = ServeConfig::streaming(4, CoreConfig::virec(2, 16), 64, 0xF00D_5EED);
+    cfg.mix = default_mix(32);
+    cfg.mean_interarrival = 512;
+    cfg.faults = ServeFaultPlan::stuck(3);
+    cfg.protection = ProtectionConfig::secded();
+    cfg.ras = Some(RasConfig {
+        spare_rows: 1,
+        ..RasConfig::default()
+    });
+    let r = run_service(cfg).expect("serve run completes");
+    let want = "\
+serve[virec]: submitted=64 completed=64 rejected_queue_full=0 rejected_quarantined=0 failed=0 lost=0 duplicated=0
+serve[virec]: faults injected=3 corrected=0 uncorrectable=3 silent_corruptions=0 retries=0 failovers=3 quarantined_cores=0
+serve[virec]: p50=1236 p99=1444 p999=1710 cycles, tasks_per_sec=1920538, availability=73.5%, goodput=100.0%
+serve[virec]: ras repairs=1 fenced_cores=2 spares_consumed=1";
+    assert_report_pinned(&r, want, 0xA4A3_58D8_3F47_4BAE);
 }
