@@ -20,7 +20,7 @@
 //! * [`analysis`] — static loop-nesting and register-pressure analysis used
 //!   to reproduce the paper's Figure 2 (register utilization) and to apply
 //!   the compiler register-reduction of §4.2.
-//! * [`cfg`] / [`dataflow`] — basic-block CFG construction plus exact
+//! * [`cfg`](mod@cfg) / [`dataflow`] — basic-block CFG construction plus exact
 //!   backward-liveness and reaching-definitions fixpoints: the static
 //!   ground truth behind the `virec-verify` lint gate and the LRC/oracle
 //!   prefetch cross-checks.

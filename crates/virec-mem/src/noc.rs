@@ -29,7 +29,8 @@
 //!   so a routing bug or a dead link can never hang a run silently.
 //!
 //! Everything is exact-cycle: retransmission timers, credit returns and hop
-//! arrivals all surface through [`Noc::next_event`], so the event-driven
+//! arrivals all surface through
+//! [`Fabric::next_event`](crate::Fabric::next_event), so the event-driven
 //! run loops stay byte-identical to the dense reference loop.
 
 use crate::fabric::{FabricStats, PortId, ReqToken};

@@ -21,11 +21,11 @@
 //! budget according to the spec's [`RetryPolicy`].
 //!
 //! Sweeps are additionally *crash-safe*: with a
-//! [`JournalConfig`](crate::journal::JournalConfig) the executor appends
+//! [`JournalConfig`] the executor appends
 //! each finished cell to an fsync'd journal, replays it on `--resume`
 //! (re-running only the remainder, byte-identical output), honours
 //! per-cell wall-clock deadlines through each cell's
-//! [`RunGate`](crate::cancel::RunGate), and drains cleanly when an
+//! [`RunGate`], and drains cleanly when an
 //! interrupt token fires.
 
 use std::collections::HashMap;

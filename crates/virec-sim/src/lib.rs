@@ -67,7 +67,7 @@ pub use fault::{
     FaultEvent, FaultPlan, FaultSite, InjectionOutcome, InjectionRecord,
 };
 pub use journal::JournalConfig;
-pub use machine::{CycleHook, Machine};
+pub use machine::{CycleHook, Dispatch, Machine};
 pub use ras::{CeTracker, RasConfig, RasStats, RetiredRegion, Scrubber};
 pub use runner::{
     arch_digest, golden_arch_digest, try_run_single, try_run_single_traced,

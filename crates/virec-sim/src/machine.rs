@@ -3,12 +3,12 @@
 //! event.
 //!
 //! A single-core run ([`crate::runner::try_run_single`]) is a 1-core
-//! [`Machine`] and a multi-core [`crate::System`] is an N-core one; both go
-//! through [`Machine::run`]. The serve layer keeps its own dispatcher loop
-//! but shares the skip decision (`next_wake`) and its crediting
-//! (`credit_span`). Cycle-indexed side effects that live outside the
-//! machine — fault injection, ECC, checkpoints, the patrol scrubber — plug
-//! in through a [`CycleHook`]; everyone else passes `()`.
+//! [`Machine`], a multi-core [`crate::System`] an N-core one, and the
+//! serve layer ([`crate::TaskService`]) an N-core one whose slots get a
+//! fresh core per dispatch; all three go through [`Machine::run`].
+//! Cycle-indexed side effects that live outside the machine — fault
+//! injection, ECC, checkpoints, the patrol scrubber, the serve dispatcher
+//! — plug in through a [`CycleHook`]; everyone else passes `()`.
 
 use crate::error::{RunDiagnostics, SimError};
 use crate::runner::RunOptions;
@@ -46,6 +46,17 @@ impl Clone for Machine {
     }
 }
 
+/// Where a dispatching hook ([`CycleHook::dispatch_state`]) stands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Dispatch {
+    /// Work is in flight: tick the fabric and every unfinished core.
+    Busy,
+    /// Nothing in flight: tick nothing, jump to the hook's next due cycle.
+    Idle,
+    /// Every piece of work has resolved: the run ends.
+    Drained,
+}
+
 /// Cycle-indexed side effects around the step loop. Generic, so the `()`
 /// hook of ordinary runs compiles away.
 pub trait CycleHook {
@@ -60,6 +71,15 @@ pub trait CycleHook {
     /// The earliest cycle at or after `now` on which the hook has work;
     /// the skip never jumps past it.
     fn next_due(&self, now: u64) -> u64;
+
+    /// `None` (the default): the run ends once every core has halted,
+    /// under the run-level watchdog and budget, and a core's structural
+    /// hazard is a run error. `Some(_)`: the hook dispatches work onto the
+    /// cores, ends or idles the run (with something due), and takes each
+    /// core's watchdog, budget and structural hazard as that core's end.
+    fn dispatch_state(&self) -> Option<Dispatch> {
+        None
+    }
 }
 
 impl CycleHook for () {
@@ -78,7 +98,7 @@ impl CycleHook for () {
 /// `None` when some core can act at `now` (the productive-cycle bail, taken
 /// before the fabric scan), otherwise the earliest event of any core or
 /// the fabric (`u64::MAX` when nothing is scheduled).
-pub(crate) fn next_wake<'a>(
+fn next_wake<'a>(
     cores: impl IntoIterator<Item = &'a Core>,
     fabric: &Fabric,
     now: u64,
@@ -98,7 +118,7 @@ pub(crate) fn next_wake<'a>(
 
 /// Credits a skipped span of `span` cycles to the stall counters of
 /// `cores`, exactly as the dense loop's ticks would have bumped them.
-pub(crate) fn credit_span<'a>(cores: impl IntoIterator<Item = &'a mut Core>, span: u64) {
+fn credit_span<'a>(cores: impl IntoIterator<Item = &'a mut Core>, span: u64) {
     for core in cores {
         core.credit_skipped(span);
     }
@@ -125,7 +145,8 @@ impl Machine {
             .unwrap_or(0)
     }
 
-    /// Runs every core to completion and returns the cycle count; the cores
+    /// Runs every core to completion — or, under a dispatching `hook`,
+    /// until the hook has drained — and returns the cycle count; the cores
     /// are then finalized and drained into memory.
     ///
     /// Each cycle polls `opts.gate`, ticks the fabric and every unfinished
@@ -136,21 +157,34 @@ impl Machine {
     /// firing observation, the budget and `hook`'s next due cycle land
     /// exactly where the dense loop puts them — and the span is credited to
     /// the unfinished cores. Both modes produce byte-identical results.
-    /// `names[i]` labels core `i` in error diagnostics.
+    /// A dispatching hook ([`CycleHook::dispatch_state`]) replaces the
+    /// run-level watchdog, budget and core hazards with its own per-core
+    /// ones. `names[i]` labels core `i` in error diagnostics.
     pub fn run<H: CycleHook>(
         &mut self,
         hook: &mut H,
         opts: &RunOptions,
         names: &[&str],
     ) -> Result<u64, SimError> {
-        let budget = self.cycle_budget();
-        let mut watchdog = Watchdog::new(opts.livelock_cycles);
+        let dispatched = hook.dispatch_state().is_some();
+        let budget = if dispatched {
+            u64::MAX
+        } else {
+            self.cycle_budget()
+        };
+        let livelock = if dispatched { 0 } else { opts.livelock_cycles };
+        let mut watchdog = Watchdog::new(livelock);
         // The first poll is due at cycle 0, so a pre-cancelled run (e.g. a
         // SIGINT abort that lands between cells) trips deterministically
         // even when the workload would finish in under one poll interval.
         let mut next_poll = 0u64;
         let mut now = 0u64;
-        while !self.done() {
+        loop {
+            match hook.dispatch_state() {
+                None if self.done() => break,
+                Some(Dispatch::Drained) => break,
+                _ => {}
+            }
             if let Some(trip) = opts.gate.poll_due(now, &mut next_poll) {
                 return Err(SimError::Deadline {
                     elapsed_ms: trip.elapsed_ms,
@@ -159,19 +193,28 @@ impl Machine {
                 });
             }
             hook.before_tick(self, now);
+            match hook.dispatch_state() {
+                Some(Dispatch::Drained) => break,
+                Some(Dispatch::Idle) => {
+                    now = hook.next_due(now + 1);
+                    continue;
+                }
+                _ => {}
+            }
             self.fabric.tick(now);
             for core in self.cores.iter_mut().filter(|c| !c.done()) {
                 core.tick(now, &mut self.fabric, &mut self.mem);
             }
             // A latched NoC fault (a flit past its age cap or out of
             // retransmission budget) means the interconnect can no longer
-            // guarantee delivery: a structural hazard, not a hang.
-            let hazard = self
-                .cores
-                .iter()
-                .find_map(|c| c.structural_fault())
-                .or_else(|| self.fabric.noc_fault());
-            if let Some(detail) = hazard {
+            // guarantee delivery: a structural hazard, not a hang. A
+            // dispatching hook settles a core's own hazard as its ending.
+            let core_fault = if dispatched {
+                None
+            } else {
+                self.cores.iter().find_map(|c| c.structural_fault())
+            };
+            if let Some(detail) = core_fault.or_else(|| self.fabric.noc_fault()) {
                 return Err(SimError::StructuralHazard {
                     detail: detail.to_string(),
                     diag: self.diag(names, now),
@@ -179,7 +222,7 @@ impl Machine {
             }
             if let Some(cycle) = hook.after_tick(self, now)? {
                 now = cycle;
-                watchdog = Watchdog::new(opts.livelock_cycles);
+                watchdog = Watchdog::new(livelock);
                 // The poll schedule rewinds with the clock so the replay
                 // window stays responsive to cancellation.
                 next_poll = now;

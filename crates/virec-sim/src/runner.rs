@@ -36,7 +36,8 @@ pub fn default_checkpoint_interval() -> u64 {
 const CHECKPOINT_DEPTH: usize = 4;
 
 /// Options for a single-core run. A [`crate::System`] run reads only
-/// `gate`, `livelock_cycles` and `dense_loop`.
+/// `gate`, `livelock_cycles` and `dense_loop`; a [`crate::TaskService`]
+/// run only `gate` and `dense_loop`.
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Fabric (crossbar + DRAM) configuration.

@@ -6,15 +6,19 @@
 //! on top of that machinery: a seeded, reproducible arrival process of
 //! offload tasks flows through a bounded admission queue onto idle cores
 //! (fresh [`offload`] image per dispatch), and the service keeps its
-//! throughput and accounting invariants under faults, hangs, and overload:
+//! throughput and accounting invariants under faults, hangs, and overload.
+//! The cores, the shared fabric and the memory image are one [`Machine`];
+//! the dispatcher is its [`CycleHook`], so the service steps and skips
+//! through [`Machine::run`] like every other run.
 //!
 //! * **Admission control** — arrivals beyond [`ServeConfig::queue_depth`]
 //!   are shed with a typed [`RejectReason::QueueFull`]; once every core is
 //!   quarantined, arriving *and* queued tasks drain with
 //!   [`RejectReason::QuarantinedCapacity`] instead of deadlocking.
 //! * **Per-task deadlines** — a cycle-denominated SLO deadline relative to
-//!   arrival ([`ServeConfig::deadline_cycles`]) plus an optional wall-clock
-//!   gate per attempt reusing [`RunGate`] ([`ServeConfig::task_deadline_ms`]).
+//!   arrival ([`ServeConfig::deadline_cycles`]), plus a per-attempt
+//!   watchdog and cycle budget; the service as a whole runs under the
+//!   wall-clock gate of [`TaskService::run_with`].
 //! * **Retry with backoff** — failed attempts re-dispatch with a
 //!   geometrically scaled cycle budget, reusing the experiment layer's
 //!   [`RetryPolicy`].
@@ -44,22 +48,22 @@
 //! millicore-cycles over total capacity), goodput, and per-epoch fabric
 //! traffic.
 
-use crate::cancel::{CancelToken, RunGate};
 use crate::ecc::{word_verdict, ProtectionConfig, ProtectionLevel, WordVerdict};
 use crate::error::{RunDiagnostics, SimError};
 use crate::experiment::{CellData, RetryPolicy};
 use crate::fault::FaultSite;
-use crate::machine::{credit_span, next_wake};
+use crate::machine::{CycleHook, Dispatch, Machine};
 use crate::offload::{check_region, offload};
 use crate::ras::{CeTracker, RasConfig};
 use crate::runner::{
     arch_digest, engine_label, golden_arch_digest, golden_step_cap, try_verify_against_golden,
+    RunOptions,
 };
 use crate::system::SystemConfigError;
 use crate::watchdog::{Watchdog, DEFAULT_LIVELOCK_CYCLES};
 use std::collections::{HashMap, HashSet, VecDeque};
 use virec_core::policy::XorShift;
-use virec_core::{Core, CoreConfig};
+use virec_core::{Core, CoreConfig, RegRegion};
 use virec_isa::FlatMem;
 use virec_mem::{Fabric, FabricConfig, FabricStats};
 use virec_workloads::{kernels, layout, Layout, Workload, WorkloadCtor};
@@ -215,9 +219,6 @@ pub struct ServeConfig {
     /// Per-task SLO deadline in cycles from *arrival* (queued wait
     /// included); 0 disables. An exceeded task fails with kind `deadline`.
     pub deadline_cycles: u64,
-    /// Per-attempt wall-clock deadline in milliseconds through a
-    /// [`RunGate`]; 0 disables.
-    pub task_deadline_ms: u64,
     /// Retry policy for failed attempts: bounded count, geometrically
     /// scaled cycle budget.
     pub retry: RetryPolicy,
@@ -239,12 +240,6 @@ pub struct ServeConfig {
     pub mix: Vec<(WorkloadCtor, u64)>,
     /// Verify every completed attempt against the golden interpreter.
     pub verify: bool,
-    /// Cycles per reporting epoch (fabric-traffic snapshots); 0 disables.
-    pub epoch_cycles: u64,
-    /// Force the dense per-cycle step loop instead of the event-driven
-    /// fast-forward. Both loops produce byte-identical reports; the dense
-    /// loop exists as a differential reference.
-    pub dense_loop: bool,
 }
 
 impl ServeConfig {
@@ -263,7 +258,6 @@ impl ServeConfig {
             mean_interarrival: 2048,
             queue_depth: 2 * ncores.max(1) + 4,
             deadline_cycles: 0,
-            task_deadline_ms: 0,
             retry: RetryPolicy::default(),
             quarantine_after: 3,
             protection: ProtectionConfig::none(),
@@ -271,8 +265,6 @@ impl ServeConfig {
             ras: None,
             mix: default_mix(64),
             verify: true,
-            epoch_cycles: 1 << 16,
-            dense_loop: false,
         }
     }
 
@@ -565,6 +557,9 @@ impl ServeReport {
     }
 }
 
+/// Cycles per reporting epoch (fabric-traffic snapshots).
+const EPOCH_CYCLES: u64 = 1 << 16;
+
 /// One admitted task's dispatch state.
 #[derive(Clone, Copy, Debug)]
 struct Task {
@@ -576,6 +571,14 @@ struct Task {
     scale: u64,
 }
 
+impl Task {
+    /// Whether the task is past its `deadline`-cycle SLO at `now` (0
+    /// disables the SLO).
+    fn expired(&self, deadline: u64, now: u64) -> bool {
+        deadline > 0 && now.saturating_sub(self.arrival) >= deadline
+    }
+}
+
 /// A word upset scheduled against one attempt, applied `at` cycles after
 /// dispatch.
 #[derive(Clone, Copy, Debug)]
@@ -585,23 +588,18 @@ struct AttemptFault {
     mask: u64,
 }
 
+/// The attempt a slot's core is running.
 struct InFlight {
     task: Task,
-    core: Core,
     watchdog: Watchdog,
     dispatched_at: u64,
     budget: u64,
-    gate: RunGate,
-    /// Next local cycle the wall-clock gate is consulted (event-driven
-    /// loops fast-forward the clock, so the gate runs on a schedule
-    /// instead of a cycle mask).
-    next_poll: u64,
     fault: Option<AttemptFault>,
 }
 
 enum Slot {
     Idle,
-    Busy(Box<InFlight>),
+    Busy(InFlight),
     Quarantined,
     /// Offline while a stuck region's data migrates onto a spare; back to
     /// `Idle` (at full capacity) at cycle `until`.
@@ -618,9 +616,15 @@ enum AttemptEnd {
 /// The host-side streaming dispatcher: admission queue, per-core dispatch
 /// through [`offload`], retry/quarantine/failover, and SLO accounting.
 pub struct TaskService {
+    /// One core per slot, the shared fabric and the memory image.
+    machine: Machine,
+    dispatcher: Dispatcher,
+}
+
+/// The service's [`CycleHook`] on its machine: admits, dispatches and
+/// settles tasks around every machine cycle.
+struct Dispatcher {
     cfg: ServeConfig,
-    mem: FlatMem,
-    fabric: Fabric,
     slots: Vec<Slot>,
     consec: Vec<u32>,
     workloads: Vec<Vec<Workload>>,
@@ -644,14 +648,25 @@ pub struct TaskService {
     link_target: u64,
     transient_tasks: HashSet<usize>,
     arrivals: Vec<(u64, usize)>,
+    /// The next arrival to admit.
+    next_arrival: usize,
+    /// Admitted tasks waiting for a slot.
+    queue: VecDeque<Task>,
     rng: XorShift,
-    token: CancelToken,
     /// Slot the next dispatch scan starts from (round-robin, so light
     /// load still exercises every healthy core rather than pinning to
     /// slot 0).
     next_slot: usize,
     dispatches: usize,
     accounted: usize,
+    /// Attempts that ended this cycle, in settle order.
+    ended: Vec<(usize, AttemptEnd)>,
+    /// Cycle of the next epoch snapshot.
+    next_epoch: u64,
+    /// Delivered capacity per cycle since `rate_from`, in millicores, not
+    /// yet integrated into the report.
+    rate: u64,
+    rate_from: u64,
     outcomes: Vec<Option<TaskOutcome>>,
     report: ServeReport,
 }
@@ -714,9 +729,7 @@ impl TaskService {
             submitted: cfg.tasks,
             ..ServeReport::default()
         };
-        Ok(TaskService {
-            mem: FlatMem::new(0, layout::mem_size(cfg.ncores)),
-            fabric: Fabric::new(cfg.fabric),
+        let dispatcher = Dispatcher {
             slots: (0..cfg.ncores).map(|_| Slot::Idle).collect(),
             consec: vec![0; cfg.ncores],
             workloads,
@@ -733,205 +746,278 @@ impl TaskService {
             link_target: cfg.seed | 1,
             transient_tasks,
             arrivals,
+            next_arrival: 0,
+            queue: VecDeque::new(),
             rng: plan_rng,
-            token: CancelToken::new(),
             next_slot: 0,
             dispatches: 0,
             accounted: 0,
+            ended: Vec::new(),
+            next_epoch: EPOCH_CYCLES,
+            rate: 0,
+            rate_from: 0,
             outcomes: vec![None; cfg.tasks],
             report,
             cfg,
+        };
+        let cores = (0..dispatcher.cfg.ncores)
+            .map(|slot| dispatcher.parked_core(slot))
+            .collect();
+        let machine = Machine::new(
+            cores,
+            Fabric::new(dispatcher.cfg.fabric),
+            FlatMem::new(0, layout::mem_size(dispatcher.cfg.ncores)),
+        );
+        Ok(TaskService {
+            machine,
+            dispatcher,
         })
     }
 
     /// Runs the whole arrival process to drain and returns the report.
     pub fn run(&mut self) -> Result<ServeReport, SimError> {
-        self.run_gated(&RunGate::unbounded())
+        self.run_with(&RunOptions::default())
     }
 
-    /// [`TaskService::run`] under a service-wide cancellation gate. The
-    /// gate's token is shared into every per-attempt gate, so one
-    /// cancellation stops the service and all in-flight attempts.
-    pub fn run_gated(&mut self, gate: &RunGate) -> Result<ServeReport, SimError> {
-        self.token = gate.token().clone();
-        let mut queue: VecDeque<Task> = VecDeque::new();
-        let mut next_arrival = 0usize;
-        let mut next_poll = 0u64;
-        let mut now = 0u64;
-        let mut next_epoch = self.cfg.epoch_cycles;
-
-        while self.accounted < self.cfg.tasks {
-            if let Some(trip) = gate.poll_due(now, &mut next_poll) {
-                return Err(SimError::Deadline {
-                    elapsed_ms: trip.elapsed_ms,
-                    limit_ms: trip.limit_ms,
-                    diag: RunDiagnostics::placeholder("serve"),
-                });
-            }
-
-            // Repair completions: a slot whose migration window elapsed
-            // returns to service at full capacity.
-            for slot in &mut self.slots {
-                if matches!(slot, Slot::Repairing { until } if now >= *until) {
-                    *slot = Slot::Idle;
-                }
-            }
-
-            // Admission: arrivals due this cycle either queue or shed.
-            while next_arrival < self.arrivals.len() && self.arrivals[next_arrival].0 <= now {
-                let (arrival, spec) = self.arrivals[next_arrival];
-                let id = next_arrival;
-                next_arrival += 1;
-                let task = Task {
-                    id,
-                    spec,
-                    arrival,
-                    attempts: 0,
-                    retries_left: self.cfg.retry.max_retries,
-                    scale: 1,
-                };
-                if self.healthy() == 0 {
-                    self.finish(id, TaskOutcome::Rejected(RejectReason::QuarantinedCapacity));
-                } else if queue.len() >= self.cfg.queue_depth {
-                    self.finish(id, TaskOutcome::Rejected(RejectReason::QueueFull));
-                } else {
-                    queue.push_back(task);
-                }
-            }
-
-            // SLO shedding: tasks whose deadline passed while still queued.
-            if self.cfg.deadline_cycles > 0 {
-                let expired: Vec<Task> = {
-                    let deadline = self.cfg.deadline_cycles;
-                    let mut kept = VecDeque::with_capacity(queue.len());
-                    let mut out = Vec::new();
-                    for t in queue.drain(..) {
-                        if now.saturating_sub(t.arrival) >= deadline {
-                            out.push(t);
-                        } else {
-                            kept.push_back(t);
-                        }
-                    }
-                    queue = kept;
-                    out
-                };
-                for t in expired {
-                    self.finish(
-                        t.id,
-                        TaskOutcome::Failed {
-                            attempts: t.attempts,
-                            kind: "deadline",
-                        },
-                    );
-                }
-            }
-
-            // Dispatch queued tasks onto idle healthy slots. The scan
-            // starts one past the last dispatched slot, so under light
-            // load work rotates over every healthy core instead of
-            // pinning to slot 0 (which would starve the fault campaign's
-            // sticky cores of dispatches and hide them from quarantine).
-            for off in 0..self.slots.len() {
-                if queue.is_empty() {
-                    break;
-                }
-                let i = (self.next_slot + off) % self.slots.len();
-                if matches!(self.slots[i], Slot::Idle) {
-                    let task = queue.pop_front().expect("queue checked non-empty");
-                    self.dispatch(i, task, now);
-                    self.next_slot = (i + 1) % self.slots.len();
-                }
-            }
-
-            // A fully-quarantined service must drain, not hang.
-            if self.healthy() == 0 {
-                for t in queue.drain(..) {
-                    self.finish(
-                        t.id,
-                        TaskOutcome::Rejected(RejectReason::QuarantinedCapacity),
-                    );
-                }
-            }
-
-            let busy = self.slots.iter().any(|s| matches!(s, Slot::Busy(_)));
-            if busy {
-                self.fabric.tick(now);
-                // NoC watchdog: retry exhaustion or an over-age flit is a
-                // transport failure the service cannot account around.
-                if let Some(detail) = self.fabric.noc_fault().map(str::to_string) {
-                    return Err(SimError::StructuralHazard {
-                        detail,
-                        diag: RunDiagnostics::placeholder("serve"),
-                    });
-                }
-                let events = self.step_slots(now);
-                for (slot, end) in events {
-                    self.settle(slot, end, now, &mut queue);
-                }
-                self.report.capacity_millicore_cycles += self.capacity_millicores();
-                now += 1;
-                // Event-driven fast-forward over spans where every busy
-                // slot is provably stalled and no dispatcher action
-                // (arrival, dispatch, shed, epoch, fault, deadline) is due.
-                if !self.cfg.dense_loop {
-                    if let Some(wake) = self.skip_target(&queue, next_arrival, next_epoch, now) {
-                        let span = wake - now;
-                        let busy = self.slots.iter_mut().filter_map(|s| match s {
-                            Slot::Busy(inf) => Some(&mut inf.core),
-                            _ => None,
-                        });
-                        credit_span(busy, span);
-                        self.report.capacity_millicore_cycles += self.capacity_millicores() * span;
-                        now = wake;
-                    }
-                }
-            } else if next_arrival < self.arrivals.len() {
-                // Idle: fast-forward to the next arrival — but never past a
-                // repair completion, which changes both the delivered
-                // capacity and the set of dispatchable slots mid-span.
-                let mut target = self.arrivals[next_arrival].0.max(now + 1);
-                if let Some(until) = self.earliest_repair() {
-                    target = target.min(until.max(now + 1));
-                }
-                self.report.capacity_millicore_cycles +=
-                    self.capacity_millicores() * (target - now);
-                now = target;
-            } else if let Some(until) = (!queue.is_empty())
-                .then(|| self.earliest_repair())
-                .flatten()
-            {
-                // Arrivals exhausted and every serving slot offline in
-                // repair while work is still queued: advance to the first
-                // repair completion so the queue drains there.
-                let target = until.max(now + 1);
-                self.report.capacity_millicore_cycles +=
-                    self.capacity_millicores() * (target - now);
-                now = target;
-            } else {
-                // No work in flight, nothing queued (drained above), no
-                // arrivals left: every task is accounted.
-                break;
-            }
-
-            if self.cfg.epoch_cycles > 0 && now >= next_epoch {
-                self.push_epoch(now, queue.len());
-                next_epoch = now + self.cfg.epoch_cycles;
-            }
-        }
-
-        if self.cfg.epoch_cycles > 0 {
-            self.push_epoch(now, queue.len());
-        }
-        self.report.cycles = now;
-        self.report.lost = self.outcomes.iter().filter(|o| o.is_none()).count();
-        self.report.latencies.sort_unstable();
-        self.report.fabric = *self.fabric.stats();
-        Ok(self.report.clone())
+    /// [`TaskService::run`] under `opts.gate` (a typed
+    /// [`SimError::Deadline`] when the service-wide deadline expires or
+    /// cancellation is requested) and `opts.dense_loop`; the other options
+    /// are ignored, since each attempt keeps its own watchdog and budget.
+    pub fn run_with(&mut self, opts: &RunOptions) -> Result<ServeReport, SimError> {
+        let d = &mut self.dispatcher;
+        let names = vec!["serve"; d.slots.len()];
+        let now = self.machine.run(d, opts, &names)?;
+        let fabric = &mut self.machine.fabric;
+        d.integrate_capacity(now);
+        // The last cycle's epoch check, then the closing snapshot.
+        d.epoch_due(fabric, now);
+        d.push_epoch(fabric, now);
+        d.report.cycles = now;
+        d.report.lost = d.outcomes.iter().filter(|o| o.is_none()).count();
+        d.report.latencies.sort_unstable();
+        d.report.fabric = *fabric.stats();
+        Ok(d.report.clone())
     }
 
     /// Every task's final outcome, indexed by task id (`None` = lost).
     pub fn outcomes(&self) -> &[Option<TaskOutcome>] {
-        &self.outcomes
+        &self.dispatcher.outcomes
+    }
+}
+
+impl CycleHook for Dispatcher {
+    /// Everything due before the cores tick: repair completions,
+    /// admission, SLO shedding, dispatch, draining a fully quarantined
+    /// queue, due word upsets and in-flight SLO expiries.
+    fn before_tick(&mut self, m: &mut Machine, now: u64) {
+        self.integrate_capacity(now);
+        self.epoch_due(&mut m.fabric, now);
+
+        // Repair completions: a slot whose migration window elapsed
+        // returns to service at full capacity.
+        for slot in &mut self.slots {
+            if matches!(slot, Slot::Repairing { until } if now >= *until) {
+                *slot = Slot::Idle;
+            }
+        }
+
+        // Admission: arrivals due this cycle either queue or shed.
+        while let Some(&(arrival, spec)) = self.arrivals.get(self.next_arrival) {
+            if arrival > now {
+                break;
+            }
+            let id = self.next_arrival;
+            self.next_arrival += 1;
+            let task = Task {
+                id,
+                spec,
+                arrival,
+                attempts: 0,
+                retries_left: self.cfg.retry.max_retries,
+                scale: 1,
+            };
+            if self.healthy() == 0 {
+                self.finish(id, TaskOutcome::Rejected(RejectReason::QuarantinedCapacity));
+            } else if self.queue.len() >= self.cfg.queue_depth {
+                self.finish(id, TaskOutcome::Rejected(RejectReason::QueueFull));
+            } else {
+                self.queue.push_back(task);
+            }
+        }
+
+        // SLO shedding: tasks whose deadline passed while still queued.
+        let deadline = self.cfg.deadline_cycles;
+        let expired: Vec<Task> = self
+            .queue
+            .iter()
+            .filter(|t| t.expired(deadline, now))
+            .copied()
+            .collect();
+        self.queue.retain(|t| !t.expired(deadline, now));
+        for t in expired {
+            let outcome = TaskOutcome::Failed {
+                attempts: t.attempts,
+                kind: "deadline",
+            };
+            self.finish(t.id, outcome);
+        }
+
+        // Dispatch queued tasks onto idle healthy slots. The scan starts
+        // one past the last dispatched slot, so under light load work
+        // rotates over every healthy core instead of pinning to slot 0
+        // (which would starve the fault campaign's sticky cores of
+        // dispatches and hide them from quarantine).
+        for off in 0..self.slots.len() {
+            let i = (self.next_slot + off) % self.slots.len();
+            if !matches!(self.slots[i], Slot::Idle) {
+                continue;
+            }
+            let Some(task) = self.queue.pop_front() else {
+                break;
+            };
+            self.dispatch(m, i, task, now);
+            self.next_slot = (i + 1) % self.slots.len();
+        }
+
+        // A fully-quarantined service must drain, not hang.
+        if self.healthy() == 0 {
+            for t in std::mem::take(&mut self.queue) {
+                self.finish(
+                    t.id,
+                    TaskOutcome::Rejected(RejectReason::QuarantinedCapacity),
+                );
+            }
+        }
+
+        if !self.busy() {
+            // Idle until the next due cycle: capacity holds at this rate.
+            self.rate = self.capacity_millicores(&m.fabric);
+            return;
+        }
+        // A due upset may abort an attempt, and an attempt past its SLO
+        // fails; either way its core sits out the tick.
+        for i in 0..self.slots.len() {
+            let Slot::Busy(inf) = &mut self.slots[i] else {
+                continue;
+            };
+            let expired = inf.task.expired(deadline, now);
+            let due = inf.fault.take_if(|f| now - inf.dispatched_at >= f.at);
+            let aborted = due.and_then(|f| self.apply_fault(&mut m.mem, f));
+            if expired || aborted.is_some() {
+                m.cores[i] = self.parked_core(i);
+            }
+            if let Some(detail) = aborted {
+                let kind = "uncorrectable";
+                self.ended.push((i, AttemptEnd::Fail { kind, detail }));
+            }
+        }
+    }
+
+    /// Settles the attempts that ended this cycle — aborted before the
+    /// tick, or done, hazarded, livelocked or over budget after it — in
+    /// slot order behind the aborted ones, then integrates capacity.
+    fn after_tick(&mut self, m: &mut Machine, now: u64) -> Result<Option<u64>, SimError> {
+        let deadline = self.cfg.deadline_cycles;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let Slot::Busy(inf) = slot else { continue };
+            if self.ended.iter().any(|(s, _)| *s == i) {
+                continue; // already aborted by an uncorrectable upset
+            }
+            let core = &m.cores[i];
+            let local = now - inf.dispatched_at;
+            let fail = |kind, detail| Some(AttemptEnd::Fail { kind, detail });
+            let end = if inf.task.expired(deadline, now) {
+                let detail = format!("task exceeded its {deadline}-cycle SLO deadline");
+                fail("deadline", detail)
+            } else if let Some(detail) = core.structural_fault() {
+                fail("structural_hazard", detail.to_string())
+            } else if core.done() {
+                Some(AttemptEnd::Done)
+            } else if let Err(stalled) = inf.watchdog.observe(local + 1, core.stats().instructions)
+            {
+                fail("livelock", format!("no commit for {stalled} cycles"))
+            } else if local + 1 >= inf.budget {
+                fail(
+                    "cycle_budget",
+                    format!("attempt exceeded {} cycles", inf.budget),
+                )
+            } else {
+                None
+            };
+            self.ended.extend(end.map(|end| (i, end)));
+        }
+        for (slot, end) in std::mem::take(&mut self.ended) {
+            self.settle(m, slot, end, now);
+        }
+        self.rate = self.capacity_millicores(&m.fabric);
+        Ok(None)
+    }
+
+    /// The next cycle the dispatcher acts on. While busy, the skip lands
+    /// on exactly the cycles of the dense loop's dispatcher actions: the
+    /// next arrival, repair completion, epoch and queued-task SLO expiry,
+    /// and each attempt's due upset, SLO deadline, watchdog firing and
+    /// budget exhaustion. While idle, the clock jumps to the next arrival
+    /// or repair completion.
+    fn next_due(&self, now: u64) -> u64 {
+        let arrival = self
+            .arrivals
+            .get(self.next_arrival)
+            .map_or(u64::MAX, |a| a.0);
+        let repair = self.slots.iter().fold(u64::MAX, |due, s| match s {
+            Slot::Repairing { until } => due.min(*until),
+            _ => due,
+        });
+        if !self.busy() {
+            return arrival.min(repair).max(now);
+        }
+        // A queued task with an idle slot dispatches at the very next
+        // cycle; a queued task with zero healthy cores drains there.
+        if !self.queue.is_empty()
+            && (self.healthy() == 0 || self.slots.iter().any(|s| matches!(s, Slot::Idle)))
+        {
+            return now;
+        }
+        let deadline = self.cfg.deadline_cycles;
+        let mut due = arrival.min(repair).min(self.next_epoch);
+        for slot in &self.slots {
+            let Slot::Busy(inf) = slot else { continue };
+            if let Some(f) = inf.fault {
+                due = due.min(inf.dispatched_at + f.at);
+            }
+            if deadline > 0 {
+                due = due.min(inf.task.arrival + deadline);
+            }
+            if let Some(fires) = inf.watchdog.deadline() {
+                // `fires` is a local observation cycle (observe runs at
+                // local+1), so the tick that fires it is one earlier.
+                due = due.min(inf.dispatched_at + fires - 1);
+            }
+            due = due.min((inf.dispatched_at + inf.budget).saturating_sub(1));
+        }
+        if deadline > 0 {
+            for t in &self.queue {
+                due = due.min(t.arrival + deadline);
+            }
+        }
+        due
+    }
+
+    fn dispatch_state(&self) -> Option<Dispatch> {
+        Some(if self.accounted >= self.cfg.tasks {
+            Dispatch::Drained
+        } else if self.busy() {
+            Dispatch::Busy
+        } else {
+            Dispatch::Idle
+        })
+    }
+}
+
+impl Dispatcher {
+    /// Whether any slot has an attempt in flight.
+    fn busy(&self) -> bool {
+        self.slots.iter().any(|s| matches!(s, Slot::Busy(_)))
     }
 
     /// Slots that can still (eventually) serve: everything but
@@ -946,7 +1032,7 @@ impl TaskService {
 
     /// Delivered capacity this cycle in millicores: healthy slots are
     /// worth 1000, fenced slots 750, repairing and quarantined slots 0.
-    fn capacity_millicores(&self) -> u64 {
+    fn capacity_millicores(&self, fabric: &Fabric) -> u64 {
         let cap: u64 = self
             .slots
             .iter()
@@ -960,7 +1046,7 @@ impl TaskService {
         // Mesh link loss shrinks delivered capacity: a retired link's
         // bandwidth is gone (traffic routes around it), a fenced link
         // keeps half. Defect-free meshes and crossbars scale by 1.
-        match self.fabric.link_health() {
+        match fabric.link_health() {
             Some(h) if h.total > 0 => {
                 cap * (2 * h.healthy as u64 + h.fenced as u64) / (2 * h.total as u64)
             }
@@ -968,90 +1054,27 @@ impl TaskService {
         }
     }
 
-    /// The earliest cycle a repairing slot returns to service.
-    fn earliest_repair(&self) -> Option<u64> {
-        self.slots
-            .iter()
-            .filter_map(|s| match s {
-                Slot::Repairing { until } => Some(*until),
-                _ => None,
-            })
-            .min()
+    /// Adds the capacity delivered over `[rate_from, now)` to the report.
+    fn integrate_capacity(&mut self, now: u64) {
+        // Saturating: a repeated run restarts the clock at 0.
+        let span = now.saturating_sub(self.rate_from);
+        self.report.capacity_millicore_cycles += self.rate * span;
+        self.rate_from = now;
     }
 
-    /// The next cycle anything in the service can act, or `None` when no
-    /// cycle before it may be skipped. Capped so every dispatcher action
-    /// the dense loop performs lands on exactly the same cycle: the next
-    /// arrival, queued-task SLO expiries, the epoch snapshot, and per-slot
-    /// fault due-times, in-flight SLO deadlines, watchdog firing
-    /// observations, and cycle-budget exhaustion.
-    fn skip_target(
-        &self,
-        queue: &VecDeque<Task>,
-        next_arrival: usize,
-        next_epoch: u64,
-        now: u64,
-    ) -> Option<u64> {
-        // Settlement may have idled every slot this very iteration; the
-        // dense loop then exits or falls into the idle-branch fast-forward,
-        // so a skip from here would overshoot it.
-        if !self.slots.iter().any(|s| matches!(s, Slot::Busy(_))) {
-            return None;
+    /// Takes the epoch snapshot once `now` reaches the next epoch.
+    fn epoch_due(&mut self, fabric: &mut Fabric, now: u64) {
+        if now >= self.next_epoch {
+            self.push_epoch(fabric, now);
+            self.next_epoch = now + EPOCH_CYCLES;
         }
-        // A queued task with an idle slot dispatches at the very next
-        // iteration; a queued task with zero healthy cores drains there.
-        if !queue.is_empty()
-            && (self.healthy() == 0 || self.slots.iter().any(|s| matches!(s, Slot::Idle)))
-        {
-            return None;
-        }
-        // Any busy core answering `now` (its productive fast path) pins the
-        // joint wakeup to `now` — bail before the per-slot cap arithmetic.
-        let busy = self.slots.iter().filter_map(|s| match s {
-            Slot::Busy(inf) => Some(&inf.core),
-            _ => None,
-        });
-        let mut wake = next_wake(busy, &self.fabric, now)?;
-        for slot in &self.slots {
-            let Slot::Busy(inf) = slot else { continue };
-            if let Some(f) = inf.fault {
-                wake = wake.min(inf.dispatched_at + f.at);
-            }
-            if self.cfg.deadline_cycles > 0 {
-                wake = wake.min(inf.task.arrival + self.cfg.deadline_cycles);
-            }
-            if let Some(deadline) = inf.watchdog.deadline() {
-                // `deadline` is a local observation cycle (observe runs at
-                // local+1), so the tick that fires it is one earlier.
-                wake = wake.min(inf.dispatched_at + deadline - 1);
-            }
-            wake = wake.min((inf.dispatched_at + inf.budget).saturating_sub(1));
-        }
-        // A repair completion changes delivered capacity and frees a slot;
-        // the dense loop observes it on exactly that cycle.
-        if let Some(until) = self.earliest_repair() {
-            wake = wake.min(until);
-        }
-        if next_arrival < self.arrivals.len() {
-            wake = wake.min(self.arrivals[next_arrival].0);
-        }
-        if self.cfg.deadline_cycles > 0 {
-            for t in queue {
-                wake = wake.min(t.arrival + self.cfg.deadline_cycles);
-            }
-        }
-        if self.cfg.epoch_cycles > 0 {
-            wake = wake.min(next_epoch);
-        }
-        (wake > now && wake != u64::MAX).then_some(wake)
     }
 
-    fn push_epoch(&mut self, now: u64, queue_len: usize) {
-        let fabric = self.fabric.epoch_stats();
+    fn push_epoch(&mut self, fabric: &mut Fabric, now: u64) {
         self.report.epochs.push(EpochStats {
             cycle: now,
-            fabric,
-            queue_len,
+            fabric: fabric.epoch_stats(),
+            queue_len: self.queue.len(),
             busy: self
                 .slots
                 .iter()
@@ -1062,31 +1085,45 @@ impl TaskService {
         });
     }
 
+    /// A halted core that holds `slot` of the machine while no attempt
+    /// runs there (a failed attempt's core must never tick again).
+    fn parked_core(&self, slot: usize) -> Core {
+        let cfg = self.cfg.core;
+        let w = &self.workloads[slot][0];
+        let region = RegRegion::new(w.layout.region_base, cfg.nthreads);
+        let ports = (2 * slot, 2 * slot + 1);
+        let mut core = Core::new(cfg, w.program().clone(), region, w.layout.code_base, ports);
+        for tid in 0..cfg.nthreads {
+            core.deactivate_thread(tid);
+        }
+        core
+    }
+
     /// Zeroes the slot's whole address span so a re-offload starts from a
     /// clean image: stale data from a previous (possibly killed or
     /// corrupted) task must never leak into the next task's golden
     /// comparison.
-    fn scrub(&mut self, slot: usize) {
+    fn scrub(mem: &mut FlatMem, slot: usize) {
         const CHUNK: usize = 1 << 16;
         static ZEROS: [u8; CHUNK] = [0; CHUNK];
         let base = slot as u64 * layout::CORE_SPAN;
         let mut off = 0u64;
         while off < layout::CORE_SPAN {
             let len = CHUNK.min((layout::CORE_SPAN - off) as usize);
-            self.mem.write_bytes(base + off, &ZEROS[..len]);
+            mem.write_bytes(base + off, &ZEROS[..len]);
             off += len as u64;
         }
     }
 
-    fn dispatch(&mut self, slot: usize, mut task: Task, now: u64) {
+    fn dispatch(&mut self, m: &mut Machine, slot: usize, mut task: Task, now: u64) {
         task.attempts += 1;
         self.dispatches += 1;
-        self.inject_link_upset(now);
-        self.scrub(slot);
+        self.inject_link_upset(&mut m.fabric, now);
+        Self::scrub(&mut m.mem, slot);
         let fault = self.plan_attempt_fault(slot, &task);
         let w = &self.workloads[slot][task.spec];
-        let region = offload(&mut self.mem, w, self.cfg.core.nthreads);
-        let core = Core::new(
+        let region = offload(&mut m.mem, w, self.cfg.core.nthreads);
+        m.cores[slot] = Core::new(
             self.cfg.core,
             w.program().clone(),
             region,
@@ -1094,16 +1131,13 @@ impl TaskService {
             (2 * slot, 2 * slot + 1),
         );
         let budget = self.cfg.core.max_cycles.saturating_mul(task.scale);
-        self.slots[slot] = Slot::Busy(Box::new(InFlight {
+        self.slots[slot] = Slot::Busy(InFlight {
             task,
-            core,
             watchdog: Watchdog::new(DEFAULT_LIVELOCK_CYCLES),
             dispatched_at: now,
             budget,
-            gate: RunGate::new(self.token.clone(), self.cfg.task_deadline_ms),
-            next_poll: 0,
             fault,
-        }));
+        });
     }
 
     /// Realizes one scheduled NoC link upset (dispatch-clocked, so both
@@ -1112,14 +1146,14 @@ impl TaskService {
     /// CE tracker retires the link — route-around or half-bandwidth fence
     /// — once it crosses the RAS threshold. Crossbar fabrics have no
     /// links; the campaign is inert there.
-    fn inject_link_upset(&mut self, now: u64) {
+    fn inject_link_upset(&mut self, fabric: &mut Fabric, now: u64) {
         if self.link_faults_left == 0 || self.dispatches <= self.cfg.faults.sticky_after {
             return;
         }
-        let Some(link) = self.fabric.inject_link_fault(self.link_target) else {
+        let Some(link) = fabric.inject_link_fault(self.link_target) else {
             // Crossbar, or the target already out of service: move on (the
             // next dispatch attacks the advanced target).
-            if self.fabric.link_health().is_some() {
+            if fabric.link_health().is_some() {
                 self.link_target = advance_link_target(self.link_target);
             }
             return;
@@ -1129,7 +1163,7 @@ impl TaskService {
         let key = (1u64 << 62) | link as u64;
         if self.link_tracker.observe(key, now) {
             self.link_tracker.clear(key);
-            let _ = self.fabric.retire_link(link);
+            let _ = fabric.retire_link(link);
             self.link_target = advance_link_target(self.link_target);
         }
     }
@@ -1166,14 +1200,14 @@ impl TaskService {
     /// Routes one scheduled word upset through the protection model.
     /// Returns the failure description when the upset was detected but
     /// uncorrectable (the attempt must abort).
-    fn apply_fault(&mut self, fault: AttemptFault) -> Option<String> {
+    fn apply_fault(&mut self, mem: &mut FlatMem, fault: AttemptFault) -> Option<String> {
         self.report.faults_injected += 1;
         let level = self.cfg.protection.level(FaultSite::DramLine);
-        let word = self.mem.read_u64(fault.addr);
+        let word = mem.read_u64(fault.addr);
         let mask = fault.mask;
         match word_verdict(level, word, mask) {
             WordVerdict::Applied | WordVerdict::PassedThrough => {
-                self.mem.write_u64(fault.addr, word ^ mask);
+                mem.write_u64(fault.addr, word ^ mask);
                 None
             }
             WordVerdict::Corrected => {
@@ -1191,126 +1225,23 @@ impl TaskService {
         }
     }
 
-    /// Advances every busy slot one cycle; returns the attempts that ended
-    /// this cycle (completed or failed) for settlement.
-    fn step_slots(&mut self, now: u64) -> Vec<(usize, AttemptEnd)> {
-        let mut events: Vec<(usize, AttemptEnd)> = Vec::new();
-        // Due faults first (they may abort the attempt before its tick).
-        for i in 0..self.slots.len() {
-            let due = match &mut self.slots[i] {
-                Slot::Busy(inf) => match inf.fault {
-                    Some(f) if now - inf.dispatched_at >= f.at => {
-                        inf.fault = None;
-                        Some(f)
-                    }
-                    _ => None,
-                },
-                _ => None,
-            };
-            if let Some(f) = due {
-                if let Some(detail) = self.apply_fault(f) {
-                    events.push((
-                        i,
-                        AttemptEnd::Fail {
-                            kind: "uncorrectable",
-                            detail,
-                        },
-                    ));
-                }
-            }
-        }
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            let Slot::Busy(inf) = slot else { continue };
-            if events.iter().any(|(s, _)| *s == i) {
-                continue; // already aborted by an uncorrectable upset
-            }
-            let local = now - inf.dispatched_at;
-            if let Some(trip) = inf.gate.poll_due(local, &mut inf.next_poll) {
-                events.push((
-                    i,
-                    AttemptEnd::Fail {
-                        kind: "deadline",
-                        detail: format!(
-                            "wall-clock gate tripped after {} ms (limit {} ms)",
-                            trip.elapsed_ms, trip.limit_ms
-                        ),
-                    },
-                ));
-                continue;
-            }
-            if self.cfg.deadline_cycles > 0
-                && now.saturating_sub(inf.task.arrival) >= self.cfg.deadline_cycles
-            {
-                events.push((
-                    i,
-                    AttemptEnd::Fail {
-                        kind: "deadline",
-                        detail: format!(
-                            "task exceeded its {}-cycle SLO deadline",
-                            self.cfg.deadline_cycles
-                        ),
-                    },
-                ));
-                continue;
-            }
-            inf.core.tick(now, &mut self.fabric, &mut self.mem);
-            if let Some(detail) = inf.core.structural_fault() {
-                events.push((
-                    i,
-                    AttemptEnd::Fail {
-                        kind: "structural_hazard",
-                        detail: detail.to_string(),
-                    },
-                ));
-                continue;
-            }
-            if inf.core.done() {
-                events.push((i, AttemptEnd::Done));
-                continue;
-            }
-            if let Err(stalled) = inf
-                .watchdog
-                .observe(local + 1, inf.core.stats().instructions)
-            {
-                events.push((
-                    i,
-                    AttemptEnd::Fail {
-                        kind: "livelock",
-                        detail: format!("no commit for {stalled} cycles"),
-                    },
-                ));
-                continue;
-            }
-            if local + 1 >= inf.budget {
-                events.push((
-                    i,
-                    AttemptEnd::Fail {
-                        kind: "cycle_budget",
-                        detail: format!("attempt exceeded {} cycles", inf.budget),
-                    },
-                ));
-            }
-        }
-        events
-    }
-
     /// Resolves one ended attempt: completion (verify + silent-corruption
     /// cross-check) or failure (retry / quarantine + failover / final).
-    fn settle(&mut self, slot: usize, end: AttemptEnd, now: u64, queue: &mut VecDeque<Task>) {
+    fn settle(&mut self, m: &mut Machine, slot: usize, end: AttemptEnd, now: u64) {
         let Slot::Busy(inf) = std::mem::replace(&mut self.slots[slot], Slot::Idle) else {
             return;
         };
-        let inf = *inf;
         let mut task = inf.task;
         let end = match end {
             AttemptEnd::Done => {
-                let mut core = inf.core;
+                let Machine { cores, mem, .. } = &mut *m;
+                let core = &mut cores[slot];
                 core.finalize_stats();
-                core.drain(&mut self.mem);
+                core.drain(mem);
                 let w = &self.workloads[slot][task.spec];
                 let nthreads = self.cfg.core.nthreads;
                 let verdict = if self.cfg.verify {
-                    try_verify_against_golden(w, nthreads, &core, &self.mem, now).err()
+                    try_verify_against_golden(w, nthreads, core, mem, now).err()
                 } else {
                     None
                 };
@@ -1324,7 +1255,7 @@ impl TaskService {
                         // digest disagrees with the golden reference is a
                         // silent corruption (provably impossible while
                         // verification is on).
-                        let digest = arch_digest(&core, &self.mem, w, nthreads);
+                        let digest = arch_digest(core, mem, w, nthreads);
                         let step_cap = golden_step_cap(core.stats().instructions);
                         let key = (slot, task.spec);
                         let golden = match self.golden.get(&key) {
@@ -1358,6 +1289,9 @@ impl TaskService {
         let AttemptEnd::Fail { kind, detail } = end else {
             unreachable!("completions returned above")
         };
+        if !m.cores[slot].done() {
+            m.cores[slot] = self.parked_core(slot);
+        }
         self.report.last_failure = Some(format!(
             "task {} attempt {} on core {slot}: {kind}: {detail}",
             task.id, task.attempts
@@ -1385,7 +1319,7 @@ impl TaskService {
                     self.report.fenced_cores += 1;
                 }
                 self.report.failovers += 1;
-                queue.push_front(task);
+                self.queue.push_front(task);
                 return;
             }
         }
@@ -1400,7 +1334,7 @@ impl TaskService {
                 // Failover: the task that tripped the quarantine gets a
                 // free re-dispatch to a healthy core.
                 self.report.failovers += 1;
-                queue.push_front(task);
+                self.queue.push_front(task);
             } else {
                 self.finish(
                     task.id,
@@ -1417,7 +1351,7 @@ impl TaskService {
                 task.retries_left -= 1;
                 task.scale = next;
                 self.report.retries += 1;
-                queue.push_front(task);
+                self.queue.push_front(task);
             }
             _ => self.finish(
                 task.id,
@@ -1526,6 +1460,19 @@ mod tests {
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.latencies, b.latencies);
         assert_eq!(a.completed, b.completed);
+    }
+
+    #[test]
+    fn cancelled_gate_stops_the_service_typed() {
+        let token = crate::cancel::CancelToken::new();
+        token.cancel();
+        let opts = RunOptions {
+            gate: crate::cancel::RunGate::new(token, 0),
+            ..RunOptions::default()
+        };
+        let mut service = TaskService::new(quick_cfg(2, 8)).unwrap();
+        let err = service.run_with(&opts).expect_err("must be cancelled");
+        assert_eq!(err.kind(), "deadline");
     }
 
     #[test]
@@ -1654,9 +1601,9 @@ mod tests {
     #[test]
     fn epochs_capture_fabric_traffic() {
         let mut cfg = quick_cfg(2, 10);
-        cfg.epoch_cycles = 4096;
+        cfg.mean_interarrival = 8192; // long enough for a mid-run epoch
         let r = run_service(cfg).unwrap();
-        assert!(!r.epochs.is_empty());
+        assert!(r.epochs.len() >= 2, "{:?}", r.epochs);
         let reads: u64 = r.epochs.iter().map(|e| e.fabric.reads).sum();
         assert!(reads > 0, "epoch deltas must add up to real traffic");
     }

@@ -19,7 +19,7 @@
 //! * [`verify`] — CFG/dataflow static analysis: the lint gate behind
 //!   `virec-cli lint`, exact-liveness prefetch oracles, and LRC live-bit
 //!   cross-checks.
-//! * [`bench`] — the shared sweep harness behind the fig*/table* binaries
+//! * [`bench`](mod@bench) — the shared sweep harness behind the fig*/table* binaries
 //!   and `virec-cli sweep`.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and `DESIGN.md` for

@@ -1,7 +1,8 @@
 //! Property-based differential testing: random (but well-formed) programs
-//! are run through the full ViReC core, in both the dense and the
-//! event-skipping loop mode, and must match the golden interpreter's final
-//! register values and memory image.
+//! are run through the full ViReC and banked cores — alone, and as two
+//! cores sharing one fabric, each on its own register region and data
+//! windows — in both the dense and the event-skipping loop mode, and must
+//! match the golden interpreter's final register values and memory image.
 //!
 //! The generator produces a loop with a fixed trip count whose body is a
 //! random mix of ALU operations, masked loads, and masked stores. Memory
@@ -18,9 +19,14 @@ use virec::mem::{Fabric, FabricConfig};
 use virec::sim::{Machine, RunOptions};
 
 const REGION_BASE: u64 = 0x1000;
+/// Distance between the register regions of consecutive cores.
+const REGION_STRIDE: u64 = 0x1000;
 const DATA_BASE: u64 = 0x10_000;
 const DATA_WINDOW: i64 = 0x3FF; // 1023 -> 8KiB window of u64 slots
 const CODE_BASE: u64 = 0x4000_0000;
+const MEM_SIZE: usize = 0x40_000;
+/// Hardware threads per core.
+const NTHREADS: usize = 3;
 
 /// One random body operation.
 #[derive(Clone, Debug)]
@@ -112,6 +118,8 @@ fn build_program(ops: &[Op], iters: u8) -> Program {
     asm.assemble()
 }
 
+/// The initial registers of context `tid` (numbered across every core of
+/// the machine), with its own 16KiB data window in x2.
 fn initial_ctx(tid: usize, seed: u64) -> Vec<(Reg, u64)> {
     let mut regs: Vec<(Reg, u64)> = GP
         .iter()
@@ -129,56 +137,71 @@ fn initial_ctx(tid: usize, seed: u64) -> Vec<(Reg, u64)> {
 }
 
 fn run_differential(ops: Vec<Op>, iters: u8, seed: u64, phys_regs: usize, policy: PolicyKind) {
-    let nthreads = 3usize;
     let program = build_program(&ops, iters);
-
-    // Golden.
-    let mut gold_mem = FlatMem::new(0, 0x40_000);
-    let mut gold_ctxs = Vec::new();
-    for t in 0..nthreads {
-        let mut ctx = ThreadCtx::new();
-        for (r, v) in initial_ctx(t, seed) {
-            ctx.set(r, v);
+    let mut virec = CoreConfig::virec(NTHREADS, phys_regs);
+    virec.policy = policy;
+    for cfg in [virec, CoreConfig::banked(NTHREADS)] {
+        for ncores in [1, 2] {
+            check_machine(cfg, ncores, &program, seed);
         }
-        let out = Interpreter::new(&program, &mut gold_mem).run(&mut ctx, 10_000_000);
-        assert!(matches!(out, ExecOutcome::Halted { .. }));
-        gold_ctxs.push(ctx);
     }
+}
 
-    // Timed core, in both loop modes.
-    let mut cfg = CoreConfig::virec(nthreads, phys_regs);
-    cfg.policy = policy;
-    for dense_loop in [true, false] {
-        let mut mem = FlatMem::new(0, 0x40_000);
-        let region = RegRegion::new(REGION_BASE, nthreads);
-        for t in 0..nthreads {
-            for (r, v) in initial_ctx(t, seed) {
-                mem.write_u64(region.reg_addr(t, r), v);
+/// Runs `program` on every thread of `ncores` cores of `cfg` sharing one
+/// fabric, in both loop modes, against the golden run of the same
+/// contexts.
+fn check_machine(cfg: CoreConfig, ncores: usize, program: &Program, seed: u64) {
+    // Golden: every context in turn on one image (the windows are disjoint).
+    let mut gold_mem = FlatMem::new(0, MEM_SIZE);
+    let gold_ctxs: Vec<ThreadCtx> = (0..ncores * NTHREADS)
+        .map(|tid| {
+            let mut ctx = ThreadCtx::new();
+            for (r, v) in initial_ctx(tid, seed) {
+                ctx.set(r, v);
             }
-        }
-        let core = Core::new(cfg, program.clone(), region, CODE_BASE, (0, 1));
-        let mut m = Machine::new(vec![core], Fabric::new(FabricConfig::default()), mem);
+            let out = Interpreter::new(program, &mut gold_mem).run(&mut ctx, 10_000_000);
+            assert!(matches!(out, ExecOutcome::Halted { .. }));
+            ctx
+        })
+        .collect();
+
+    for dense_loop in [true, false] {
+        let label = format!("{:?} x{ncores} (dense={dense_loop})", cfg.engine);
+        let mut mem = FlatMem::new(0, MEM_SIZE);
+        let cores = (0..ncores)
+            .map(|c| {
+                let region = RegRegion::new(REGION_BASE + c as u64 * REGION_STRIDE, NTHREADS);
+                for t in 0..NTHREADS {
+                    for (r, v) in initial_ctx(c * NTHREADS + t, seed) {
+                        mem.write_u64(region.reg_addr(t, r), v);
+                    }
+                }
+                Core::new(cfg, program.clone(), region, CODE_BASE, (2 * c, 2 * c + 1))
+            })
+            .collect();
+        let mut m = Machine::new(cores, Fabric::new(FabricConfig::default()), mem);
         let opts = RunOptions {
             dense_loop,
             ..RunOptions::default()
         };
-        m.run(&mut (), &opts, &["random"])
-            .unwrap_or_else(|e| panic!("random program wedged the core (dense={dense_loop}): {e}"));
+        m.run(&mut (), &opts, &vec!["random"; ncores])
+            .unwrap_or_else(|e| panic!("random program wedged {label}: {e}"));
 
-        for (t, gctx) in gold_ctxs.iter().enumerate() {
+        for (tid, gctx) in gold_ctxs.iter().enumerate() {
+            let (c, t) = (tid / NTHREADS, tid % NTHREADS);
             for r in Reg::allocatable() {
-                let got = m.cores[0].arch_reg(t, r, &m.mem);
+                let got = m.cores[c].arch_reg(t, r, &m.mem);
                 assert_eq!(
                     got,
                     gctx.get(r),
-                    "thread {t} register {r} diverged (dense={dense_loop})"
+                    "{label}: core {c} thread {t} register {r} diverged"
                 );
             }
         }
         assert_eq!(
             &m.mem.bytes()[DATA_BASE as usize..],
             &gold_mem.bytes()[DATA_BASE as usize..],
-            "memory image diverged (dense={dense_loop})"
+            "{label}: memory image diverged"
         );
     }
 }

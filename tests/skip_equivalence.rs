@@ -4,17 +4,18 @@
 //! across every context engine, the whole workload suite, a seeded
 //! fault-injection campaign with checkpointing, and a full serve run.
 //!
-//! The dense loop is selected per run via `RunOptions::dense_loop` (and
-//! `ServeConfig::dense_loop`); the event-driven loop is the default
-//! everywhere else in the tree, so these tests are the main place both
-//! loops run side by side on the same input.
+//! Single runs, `System` and the serve layer all step through the one
+//! `Machine::run` loop; the dense mode is selected per run via
+//! `RunOptions::dense_loop` (for serve, through `TaskService::run_with`).
+//! The event-driven loop is the default everywhere else in the tree, so
+//! these tests are the main place both loops run side by side on the same
+//! input.
 
 use virec::core::CoreConfig;
 use virec::sim::runner::{try_run_single, RunOptions, RunResult};
-use virec::sim::serve::{default_mix, ServeConfig, ServeFaultPlan};
+use virec::sim::serve::{default_mix, ServeConfig, ServeFaultPlan, ServeReport, TaskService};
 use virec::sim::{
-    run_service, FaultClass, FaultPlan, FaultSite, ProtectionConfig, RasConfig, SimError, System,
-    SystemConfig,
+    FaultClass, FaultPlan, FaultSite, ProtectionConfig, RasConfig, SimError, System, SystemConfig,
 };
 use virec::workloads::{kernels, suite, Layout};
 
@@ -26,6 +27,16 @@ fn densified(opts: &RunOptions) -> RunOptions {
         dense_loop: true,
         ..opts.clone()
     }
+}
+
+/// Serves `cfg` to drain in the dense or the event-driven loop.
+fn serve(cfg: ServeConfig, dense_loop: bool) -> ServeReport {
+    let opts = RunOptions {
+        dense_loop,
+        ..RunOptions::default()
+    };
+    let mut service = TaskService::new(cfg).expect("valid serve config");
+    service.run_with(&opts).expect("serve run completes")
 }
 
 /// Field-by-field identity on everything deterministic in a [`RunResult`]
@@ -217,8 +228,7 @@ fn serve_run_byte_identical() {
         cfg.faults = ServeFaultPlan::campaign(8, 1);
         cfg.protection = ProtectionConfig::secded();
         cfg.deadline_cycles = 400_000;
-        cfg.dense_loop = dense;
-        run_service(cfg).expect("serve run completes")
+        serve(cfg, dense)
     };
     let skip = run(false);
     let dense = run(true);
@@ -247,8 +257,7 @@ fn serve_repairs_and_fencing_byte_identical() {
             spare_rows: 1, // pool runs dry: exercise fencing, not just repair
             ..RasConfig::default()
         });
-        cfg.dense_loop = dense;
-        run_service(cfg).expect("serve run completes")
+        serve(cfg, dense)
     };
     let skip = run(false);
     let dense = run(true);
@@ -365,8 +374,7 @@ fn mesh_serve_link_faults_byte_identical() {
         };
         cfg.faults = ServeFaultPlan::links(9);
         cfg.ras = Some(RasConfig::default());
-        cfg.dense_loop = dense;
-        run_service(cfg).expect("mesh serve run completes")
+        serve(cfg, dense)
     };
     let skip = run(false);
     let dense = run(true);
