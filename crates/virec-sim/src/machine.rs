@@ -166,13 +166,13 @@ impl Machine {
         opts: &RunOptions,
         names: &[&str],
     ) -> Result<u64, SimError> {
+        // A dispatching hook keeps its own per-core watchdogs and budgets.
         let dispatched = hook.dispatch_state().is_some();
-        let budget = if dispatched {
-            u64::MAX
+        let (budget, livelock) = if dispatched {
+            (u64::MAX, 0)
         } else {
-            self.cycle_budget()
+            (self.cycle_budget(), opts.livelock_cycles)
         };
-        let livelock = if dispatched { 0 } else { opts.livelock_cycles };
         let mut watchdog = Watchdog::new(livelock);
         // The first poll is due at cycle 0, so a pre-cancelled run (e.g. a
         // SIGINT abort that lands between cells) trips deterministically

@@ -847,14 +847,8 @@ impl CycleHook for Dispatcher {
 
         // SLO shedding: tasks whose deadline passed while still queued.
         let deadline = self.cfg.deadline_cycles;
-        let expired: Vec<Task> = self
-            .queue
-            .iter()
-            .filter(|t| t.expired(deadline, now))
-            .copied()
-            .collect();
-        self.queue.retain(|t| !t.expired(deadline, now));
-        for t in expired {
+        while let Some(i) = self.queue.iter().position(|t| t.expired(deadline, now)) {
+            let t = self.queue.remove(i).expect("position is in range");
             let outcome = TaskOutcome::Failed {
                 attempts: t.attempts,
                 kind: "deadline",
