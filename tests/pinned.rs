@@ -1,7 +1,8 @@
 //! Digest tripwire: literal cycle counts and architectural digests for a
 //! handful of small runs through every entry point of the simulator — the
 //! single-core runner in both loop modes, the golden reference, a
-//! multi-core `System`, a SEC-DED fault campaign and three serve runs.
+//! prefetch-exact run with its recorded oracle, a multi-core `System`, a
+//! SEC-DED fault campaign and three serve runs.
 //!
 //! The differential suites prove that two paths agree with each other;
 //! these constants prove that neither path moved. A refactor of the step
@@ -10,12 +11,12 @@
 
 use virec::core::CoreConfig;
 use virec::mem::FabricConfig;
-use virec::sim::runner::default_checkpoint_interval;
+use virec::sim::runner::{default_checkpoint_interval, try_record_oracle, try_run_prefetch_exact};
 use virec::sim::serve::default_mix;
 use virec::sim::{
     golden_arch_digest, run_campaign_with, run_service, try_run_single, CampaignOptions,
-    FaultClass, FaultPlan, FaultSite, ProtectionConfig, RasConfig, RunOptions, ServeConfig,
-    ServeFaultPlan, ServeReport, System, SystemConfig,
+    FaultClass, FaultPlan, FaultSite, ProtectionConfig, RasConfig, RunGate, RunOptions,
+    ServeConfig, ServeFaultPlan, ServeReport, System, SystemConfig,
 };
 use virec::workloads::{kernels, Layout, WorkloadCtor};
 
@@ -63,6 +64,27 @@ fn single_core_runs_and_golden_digests_are_pinned() {
             }
         }
     }
+}
+
+#[test]
+fn prefetch_exact_run_and_its_oracle_are_pinned() {
+    // Eight threads with eight registers each: the recorded oracle, the
+    // per-thread quantum counts and every mask, is what the replay reads.
+    let w = kernels::spatter::gather(N, Layout::for_core(0));
+    let fabric = FabricConfig::default();
+    let gate = RunGate::unbounded();
+    let oracle = try_record_oracle(&w, 8, fabric, &gate).expect("recording completes");
+    let schedule: String = oracle
+        .sets
+        .iter()
+        .map(|masks| format!("{}:{masks:?};", masks.len()))
+        .collect();
+    let r = try_run_prefetch_exact(8, 8, &w, fabric, &gate).expect("replay verifies");
+    assert_eq!(
+        (r.cycles, r.arch_digest, fnv1a(&schedule)),
+        (4444, 0x263C_7E70_B474_3909, 0x5955_E202_8BC1_34B1),
+        "{schedule}"
+    );
 }
 
 #[test]
