@@ -7,7 +7,7 @@
 //! the referenced set where registers are written before read, larger for
 //! nested kernels where outer-loop state stays live across the inner
 //! head), plus the dynamically-measured mean per-quantum register use from
-//! a recorded banked run. Paper shape: most workloads use
+//! the quantum trace of a banked run. Paper shape: most workloads use
 //! well under 30% of the context in the loops where they spend their
 //! runtime.
 //!
@@ -18,7 +18,7 @@ use virec_bench::harness::*;
 use virec_core::CoreConfig;
 use virec_sim::experiment::{builder, CellData, ExperimentSpec};
 use virec_sim::report::{pct, Table};
-use virec_sim::runner::{try_run_single, RunOptions};
+use virec_sim::runner::{try_run_single_traced, RunOptions};
 use virec_verify::StaticOracle;
 use virec_workloads::{suite, SUITE};
 
@@ -30,21 +30,17 @@ fn main() {
     for (name, ctor) in SUITE {
         let build = builder(*ctor, n, layout0());
         // Dynamic: mean registers touched per scheduling quantum on a
-        // 4-thread banked core, from an oracle-recording run.
+        // 4-thread banked core, from the run's quantum trace.
         spec.custom(name.to_string(), move |_| {
             let w = build();
             let opts = RunOptions {
                 verify: false,
-                record_oracle: true,
                 ..RunOptions::default()
             };
-            let r = try_run_single(CoreConfig::banked(4), &w, &opts)?;
-            let (sum, count) = r
-                .oracle
-                .sets
-                .iter()
-                .flatten()
-                .fold((0u64, 0u64), |(s, c), m| (s + m.count_ones() as u64, c + 1));
+            let (_, trace) = try_run_single_traced(CoreConfig::banked(4), &w, &opts)?;
+            let (sum, count) = trace.quanta.iter().fold((0u64, 0u64), |(s, c), q| {
+                (s + q.used.count_ones() as u64, c + 1)
+            });
             let mean_q = if count == 0 {
                 0.0
             } else {

@@ -93,6 +93,28 @@ pub struct OracleSchedule {
 }
 
 impl OracleSchedule {
+    /// The oracle a traced run recorded: each thread's `used` masks in
+    /// switch-out order ([`crate::Core::enable_quantum_trace`]).
+    pub fn from_trace(trace: &QuantumTrace, nthreads: usize) -> OracleSchedule {
+        OracleSchedule::group(trace, nthreads, |q| q.used)
+    }
+
+    /// Groups `mask(q)` of every traced quantum by thread, in switch-out
+    /// order. Quanta of threads at or beyond `nthreads` are dropped.
+    pub fn group(
+        trace: &QuantumTrace,
+        nthreads: usize,
+        mask: impl Fn(&QuantumRecord) -> u32,
+    ) -> OracleSchedule {
+        let mut sets = vec![Vec::new(); nthreads];
+        for q in &trace.quanta {
+            if let Some(v) = sets.get_mut(q.tid as usize) {
+                v.push(mask(q));
+            }
+        }
+        OracleSchedule { sets }
+    }
+
     /// Register mask for a thread's `quantum`-th run, if recorded.
     pub fn mask(&self, tid: usize, quantum: usize) -> Option<u32> {
         self.sets.get(tid).and_then(|v| v.get(quantum)).copied()
@@ -112,7 +134,7 @@ pub struct QuantumRecord {
     /// PC the thread will replay from after the switch-out flush.
     pub resume_pc: u32,
     /// Registers of every decode-acquired instruction (no flags bit; the
-    /// same mask the prefetch oracle records).
+    /// mask the prefetch oracle replays).
     pub used: u32,
     /// Registers (and flags) read before being written within the quantum —
     /// the true demand set, a subset of static `live_in(start_pc)`.

@@ -1,7 +1,7 @@
 //! Corner-case tests for the pipeline: CSL masking, store-queue pressure,
 //! round-robin fairness, sysreg buffering, and quantum recording.
 
-use virec_core::{Core, CoreConfig, RegRegion, ThreadStatus};
+use virec_core::{Core, CoreConfig, OracleSchedule, RegRegion, ThreadStatus};
 use virec_isa::reg::names::*;
 use virec_isa::{Asm, Cond, FlatMem, Program, Reg};
 use virec_mem::{Fabric, FabricConfig};
@@ -166,9 +166,9 @@ fn quantum_recording_masks_match_kernel_registers() {
     let cfg = CoreConfig::banked(4);
     let mut rig = Rig::new(cfg, gather_prog(), gather_ctx(n, 4));
     init_gather(&mut rig.mem, n);
-    rig.core.enable_quantum_recording();
+    rig.core.enable_quantum_trace();
     rig.run_to_completion();
-    let oracle = rig.core.take_oracle();
+    let oracle = OracleSchedule::from_trace(&rig.core.take_quantum_trace(), 4);
     assert_eq!(oracle.sets.len(), 4);
     // Kernel registers: x0..x7 minus x2/x3 bases… all of x0-x7 appear.
     let all: u32 = oracle.sets.iter().flatten().fold(0, |acc, m| acc | m);

@@ -118,18 +118,6 @@ pub enum Job {
         /// Run options (fabric, verification, faults, …).
         opts: RunOptions,
     },
-    /// Oracle recording plus an exact-context prefetching run
-    /// ([`try_run_prefetch_exact`]).
-    PrefetchExact {
-        /// Builds the worker-local workload instance.
-        build: WorkloadBuilder,
-        /// Hardware thread count.
-        nthreads: usize,
-        /// Physical registers per thread for the prefetch core.
-        regs_per_thread: usize,
-        /// Fabric configuration shared by recording and replay.
-        fabric: FabricConfig,
-    },
     /// A multi-core system run ([`System::try_run`]); every core runs
     /// `ctor(n, Layout::for_core(i))`.
     System {
@@ -268,7 +256,9 @@ impl ExperimentSpec {
         );
     }
 
-    /// Declares an exact-context prefetching cell.
+    /// Declares an exact-context prefetching cell: oracle recording plus
+    /// the replay ([`try_run_prefetch_exact`]), both under the cell's gate.
+    /// Like every custom cell it is not budget-scaled.
     pub fn prefetch_exact(
         &mut self,
         key: impl Into<String>,
@@ -277,15 +267,10 @@ impl ExperimentSpec {
         regs_per_thread: usize,
         fabric: FabricConfig,
     ) {
-        self.push(
-            key,
-            Job::PrefetchExact {
-                build,
-                nthreads,
-                regs_per_thread,
-                fabric,
-            },
-        );
+        self.custom(key, move |ctx| {
+            try_run_prefetch_exact(nthreads, regs_per_thread, &build(), fabric, ctx.gate)
+                .map(|r| CellData::Run(Box::new(r)))
+        });
     }
 
     /// Declares a multi-core system cell.
@@ -960,16 +945,6 @@ fn execute_cell(
                     opts.gate = gate.clone();
                 }
                 try_run_single(cfg, &w, &opts).map(|r| CellData::Run(Box::new(r)))
-            }
-            Job::PrefetchExact {
-                build,
-                nthreads,
-                regs_per_thread,
-                fabric,
-            } => {
-                let w = build();
-                try_run_prefetch_exact(*nthreads, *regs_per_thread, &w, *fabric, gate)
-                    .map(|r| CellData::Run(Box::new(r)))
             }
             Job::System { cfg, ctor, n } => {
                 let mut cfg = *cfg;

@@ -45,8 +45,6 @@ pub struct RunOptions {
     /// Check final architectural state against the golden interpreter
     /// (cheap insurance; on by default).
     pub verify: bool,
-    /// Record per-quantum register sets (for the prefetch oracle).
-    pub record_oracle: bool,
     /// Oracle to feed an exact-context prefetching core.
     pub oracle: OracleSchedule,
     /// Watchdog threshold: cycles without a commit before the run is
@@ -83,7 +81,6 @@ impl Default for RunOptions {
         RunOptions {
             fabric: FabricConfig::default(),
             verify: true,
-            record_oracle: false,
             oracle: OracleSchedule::default(),
             livelock_cycles: DEFAULT_LIVELOCK_CYCLES,
             faults: FaultPlan::empty(),
@@ -103,8 +100,6 @@ pub struct RunResult {
     pub cycles: u64,
     /// Core statistics (caches folded in).
     pub stats: CoreStats,
-    /// Recorded oracle (empty unless requested).
-    pub oracle: OracleSchedule,
     /// Descriptions of the injected faults that actually landed.
     pub faults_applied: Vec<String>,
     /// FNV digest of the final architectural state (all thread registers
@@ -165,10 +160,11 @@ pub fn try_run_single(
 
 /// [`try_run_single`] plus a per-quantum trace: start/resume PCs, the
 /// decode-acquired use and read-before-written demand masks, and the
-/// engine's resident/committed live-bit samples at each switch-out. Used by
-/// `virec-verify` to cross-check the timing model against static liveness.
-/// `RunResult` itself is unchanged (it round-trips through the sweep
-/// journal codec), so the trace rides alongside.
+/// engine's resident/committed live-bit samples at each switch-out. The
+/// prefetch oracle is grouped from it ([`try_record_oracle`]) and
+/// `virec-verify` cross-checks it against static liveness. `RunResult`
+/// itself is unchanged (it round-trips through the sweep journal codec),
+/// so the trace rides alongside.
 pub fn try_run_single_traced(
     cfg: CoreConfig,
     workload: &Workload,
@@ -212,9 +208,6 @@ fn try_run_single_impl(
         (0, 1),
         opts.oracle.clone(),
     );
-    if opts.record_oracle {
-        core.enable_quantum_recording();
-    }
     if want_trace {
         core.enable_quantum_trace();
     }
@@ -241,7 +234,6 @@ fn try_run_single_impl(
         RunResult {
             cycles,
             stats: *core.stats(),
-            oracle: core.take_oracle(),
             faults_applied: faults.applied,
             arch_digest,
             ecc: faults.ecc,
@@ -1084,7 +1076,8 @@ pub fn try_verify_against_golden(
 
 /// Records the per-quantum oracle by running the workload on a banked core
 /// with the same thread count under `gate` (the recording substrate for
-/// §6.1's exact prefetching comparison).
+/// §6.1's exact prefetching comparison): each thread's quantum trace
+/// `used` masks, in switch-out order.
 pub fn try_record_oracle(
     workload: &Workload,
     nthreads: usize,
@@ -1095,11 +1088,11 @@ pub fn try_record_oracle(
     let opts = RunOptions {
         fabric,
         verify: false,
-        record_oracle: true,
         gate: gate.clone(),
         ..RunOptions::default()
     };
-    try_run_single(cfg, workload, &opts).map(|r| r.oracle)
+    try_run_single_traced(cfg, workload, &opts)
+        .map(|(_, trace)| OracleSchedule::from_trace(&trace, nthreads))
 }
 
 /// Runs an exact-context prefetching core, recording the oracle first. The

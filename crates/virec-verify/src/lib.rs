@@ -15,8 +15,9 @@
 //!   clean (`virec-cli lint`, enforced in CI).
 //! * [`oracle`] — [`oracle::StaticOracle`]: exact per-PC liveness turned
 //!   into oracle prefetch contexts (§6.1), cross-checked against the
-//!   *recorded* `OracleSchedule` and the per-quantum demand sets observed
-//!   by the pipeline. The invariant is `demand ⊆ live_in(start_pc)` —
+//!   per-quantum used and demand sets of the pipeline's quantum trace
+//!   (the record the prefetch oracle is grouped from). The invariant is
+//!   `demand ⊆ live_in(start_pc)` —
 //!   acquired instructions are always on the true execution path, so the
 //!   dynamic read-before-written set can never exceed static liveness.
 //! * [`lrc`] — cross-checks the LRC replacement policy's live-bit

@@ -1,7 +1,8 @@
 //! The liveness-derived static prefetch oracle (§6.1).
 //!
 //! The recorded `OracleSchedule` is a *dynamic* artifact: the per-quantum
-//! register masks one particular run happened to use. The [`StaticOracle`]
+//! register masks one particular run happened to use, grouped from its
+//! quantum trace (`OracleSchedule::from_trace`). The [`StaticOracle`]
 //! derives the same contexts from exact liveness at the quantum's start PC
 //! — no recording run needed — and the cross-check pins down how the two
 //! relate at every scheduling quantum:
@@ -66,18 +67,6 @@ pub enum OracleViolation {
         /// `demand & !live_in`.
         excess: u32,
     },
-    /// The recorded oracle's mask disagrees with the quantum trace's used
-    /// set for the same run — recorder and tracer have desynchronized.
-    RecordedMismatch {
-        /// Thread.
-        tid: u8,
-        /// Per-thread quantum index.
-        quantum: usize,
-        /// Mask from the recorded `OracleSchedule`.
-        recorded: Option<u32>,
-        /// Used mask from the quantum trace.
-        observed: u32,
-    },
 }
 
 impl std::fmt::Display for OracleViolation {
@@ -94,16 +83,6 @@ impl std::fmt::Display for OracleViolation {
                 f,
                 "tid {tid} quantum {quantum} at pc {start_pc}: demand {demand:#010x} \
                  exceeds static live-in {live_in:#010x} (excess {excess:#010x})"
-            ),
-            OracleViolation::RecordedMismatch {
-                tid,
-                quantum,
-                recorded,
-                observed,
-            } => write!(
-                f,
-                "tid {tid} quantum {quantum}: recorded oracle mask {recorded:?} \
-                 != traced used mask {observed:#010x}"
             ),
         }
     }
@@ -178,41 +157,19 @@ impl StaticOracle {
     /// between the recording and the replay, so correctness comes from the
     /// demand-fill fallback, not mask alignment).
     pub fn derive_schedule(&self, trace: &QuantumTrace, nthreads: usize) -> OracleSchedule {
-        let mut sets = vec![Vec::new(); nthreads];
-        for q in &trace.quanta {
-            if let Some(v) = sets.get_mut(q.tid as usize) {
-                v.push(self.prefetch_mask(q.start_pc));
-            }
-        }
-        OracleSchedule { sets }
+        OracleSchedule::group(trace, nthreads, |q| self.prefetch_mask(q.start_pc))
     }
 
-    /// Cross-checks a quantum trace (and optionally the recorded oracle of
-    /// the same run) against static liveness. See the module docs for the
-    /// invariant and the two intentional divergence classes.
-    pub fn cross_check(
-        &self,
-        trace: &QuantumTrace,
-        recorded: Option<&OracleSchedule>,
-    ) -> Result<OracleCrossCheck, OracleViolation> {
+    /// Cross-checks a quantum trace against static liveness. See the
+    /// module docs for the invariant and the two intentional divergence
+    /// classes.
+    pub fn cross_check(&self, trace: &QuantumTrace) -> Result<OracleCrossCheck, OracleViolation> {
         let mut per_tid_quantum = std::collections::HashMap::new();
         let mut out = OracleCrossCheck::default();
         for q in &trace.quanta {
             let k = per_tid_quantum.entry(q.tid).or_insert(0usize);
             let quantum = *k;
             *k += 1;
-
-            if let Some(rec) = recorded {
-                let mask = rec.mask(q.tid as usize, quantum);
-                if mask != Some(q.used) {
-                    return Err(OracleViolation::RecordedMismatch {
-                        tid: q.tid,
-                        quantum,
-                        recorded: mask,
-                        observed: q.used,
-                    });
-                }
-            }
 
             let live = self.live_in(q.start_pc);
             if q.demand & !live != 0 {

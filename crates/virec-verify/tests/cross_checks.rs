@@ -1,8 +1,9 @@
 //! End-to-end cross-validation of static analysis against the timing
 //! models, over the entire workload suite:
 //!
-//! * the recorded prefetch oracle equals the traced per-quantum used sets,
-//!   and every quantum's demand set is contained in static liveness;
+//! * the prefetch oracle grouped from the banked recording core's quantum
+//!   trace holds one mask per traced quantum, and every quantum's demand
+//!   set is contained in static liveness;
 //! * the ViReC engine's LRC commit-bit state after §5.1 compaction
 //!   matches the static rollback-window bound;
 //! * dynamic future-use sets from golden-interpreter traces are contained
@@ -10,7 +11,7 @@
 //! * a purely liveness-derived oracle schedule can drive a prefetch-exact
 //!   core to a correct (golden-verified) run.
 
-use virec_core::CoreConfig;
+use virec_core::{CoreConfig, OracleSchedule};
 use virec_isa::dataflow::ALL_REGS;
 use virec_sim::{try_run_single, try_run_single_traced, RunOptions};
 use virec_verify::{check_liveness_on_golden_trace, check_lrc, StaticOracle};
@@ -20,19 +21,20 @@ const N: u64 = 256;
 const NTHREADS: usize = 4;
 
 #[test]
-fn recorded_oracle_matches_trace_and_demand_is_live() {
+fn recording_trace_groups_into_the_oracle_and_demand_is_live() {
     for w in suite(N, Layout::for_core(0)) {
         let oracle = StaticOracle::build(w.program(), ALL_REGS).expect(w.name);
-        let opts = RunOptions {
-            record_oracle: true,
-            ..RunOptions::default()
-        };
-        let (result, trace) =
-            try_run_single_traced(CoreConfig::banked(NTHREADS), &w, &opts).expect(w.name);
+        let (_, trace) =
+            try_run_single_traced(CoreConfig::banked(NTHREADS), &w, &RunOptions::default())
+                .expect(w.name);
         let check = oracle
-            .cross_check(&trace, Some(&result.oracle))
+            .cross_check(&trace)
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         assert!(check.quanta > 0, "{}: no quanta traced", w.name);
+        let recorded = OracleSchedule::from_trace(&trace, NTHREADS);
+        assert_eq!(recorded.sets.len(), NTHREADS, "{}", w.name);
+        let grouped: usize = recorded.sets.iter().map(Vec::len).sum();
+        assert_eq!(grouped, check.quanta, "{}: one mask per quantum", w.name);
     }
 }
 
@@ -46,7 +48,7 @@ fn virec_demand_is_live_too() {
             try_run_single_traced(CoreConfig::virec(NTHREADS, 24), &w, &RunOptions::default())
                 .expect(w.name);
         oracle
-            .cross_check(&trace, None)
+            .cross_check(&trace)
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
     }
 }
