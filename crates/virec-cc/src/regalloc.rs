@@ -17,7 +17,7 @@
 //! produces exactly the "registers spilled to memory using regular
 //! load/store instructions" the paper's compiler reduction describes.
 
-use crate::lower::{LabelId, VInst};
+use crate::lower::VInst;
 use crate::vcfg::VDataflow;
 use std::collections::{HashMap, HashSet};
 use virec_isa::Reg;
@@ -108,58 +108,11 @@ pub const FRAME_PTR: Reg = Reg::new(28);
 /// `[start, end]` over instruction indices — the flat approximation the
 /// linear-scan allocator consumes and the divergence lint measures.
 pub fn live_intervals(code: &[VInst]) -> HashMap<u32, (usize, usize)> {
-    // Successor map (labels resolved to indices).
-    let mut label_pos: HashMap<LabelId, usize> = HashMap::new();
-    for (i, inst) in code.iter().enumerate() {
-        if let VInst::Label(l) = inst {
-            label_pos.insert(*l, i);
-        }
-    }
-    let succs = |i: usize| -> Vec<usize> {
-        match code[i] {
-            VInst::B { target } => vec![label_pos[&target]],
-            VInst::Bcc { target, .. } => {
-                let mut v = vec![label_pos[&target]];
-                if i + 1 < code.len() {
-                    v.push(i + 1);
-                }
-                v
-            }
-            VInst::Ret { .. } => vec![],
-            _ => {
-                if i + 1 < code.len() {
-                    vec![i + 1]
-                } else {
-                    vec![]
-                }
-            }
-        }
-    };
+    intervals_of(code, &VDataflow::compute(code))
+}
 
-    // Backward fixpoint.
-    let n = code.len();
-    let mut live_in: Vec<HashSet<u32>> = vec![HashSet::new(); n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in (0..n).rev() {
-            let mut out: HashSet<u32> = HashSet::new();
-            for s in succs(i) {
-                out.extend(live_in[s].iter().copied());
-            }
-            if let Some(d) = code[i].def() {
-                out.remove(&d);
-            }
-            for u in code[i].uses() {
-                out.insert(u);
-            }
-            if out != live_in[i] {
-                live_in[i] = out;
-                changed = true;
-            }
-        }
-    }
-
+/// The flat intervals spanned by `df`'s CFG-exact liveness over `code`.
+fn intervals_of(code: &[VInst], df: &VDataflow) -> HashMap<u32, (usize, usize)> {
     // Intervals: defs open, uses/liveness extend.
     let mut intervals: HashMap<u32, (usize, usize)> = HashMap::new();
     let touch = |t: u32, i: usize, intervals: &mut HashMap<u32, (usize, usize)>| {
@@ -178,7 +131,7 @@ pub fn live_intervals(code: &[VInst]) -> HashMap<u32, (usize, usize)> {
         for u in inst.uses() {
             touch(u, i, &mut intervals);
         }
-        for &t in &live_in[i] {
+        for t in df.live_in[i].iter() {
             touch(t, i, &mut intervals);
         }
     }
@@ -222,8 +175,8 @@ impl std::fmt::Display for LivenessDivergence {
 /// live-in nor defined. Sorted by temp id; empty means the two analyses
 /// agree (straight-line code, or ranges with no CFG holes).
 pub fn liveness_divergence(code: &[VInst]) -> Vec<LivenessDivergence> {
-    let intervals = live_intervals(code);
     let df = VDataflow::compute(code);
+    let intervals = intervals_of(code, &df);
     let mut out: Vec<LivenessDivergence> = Vec::new();
     for (&t, &(s, e)) in &intervals {
         let exact = (s..=e)
