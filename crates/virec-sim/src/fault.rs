@@ -290,26 +290,9 @@ impl FaultPlan {
         }
     }
 
-    /// `count` faults drawn from `sites`, with cycles uniform in
-    /// `window.0..window.1`, fully determined by `seed`.
-    pub fn seeded(seed: u64, count: usize, window: (u64, u64), sites: &[FaultSite]) -> FaultPlan {
-        assert!(!sites.is_empty(), "fault plan needs at least one site");
-        let mut rng = XorShift::new(seed);
-        let span = window.1.saturating_sub(window.0).max(1);
-        let events = (0..count)
-            .map(|_| FaultEvent {
-                cycle: window.0 + rng.next_u64() % span,
-                site: sites[(rng.next_u64() % sites.len() as u64) as usize],
-                index: rng.next_u64(),
-                bit: (rng.next_u64() % 64) as u8,
-                class: FaultClass::Transient,
-            })
-            .collect();
-        FaultPlan { events }
-    }
-
-    /// `count` faults of the given temporal `class`, drawn like
-    /// [`FaultPlan::seeded`]. For permanent faults on SEC-DED word sites,
+    /// `count` faults of the given temporal `class` drawn from `sites`,
+    /// with cycles uniform in `window.0..window.1`, fully determined by
+    /// `seed`. For permanent faults on SEC-DED word sites,
     /// one seed in three models a **pair** of stuck cells in the same word:
     /// correction is defeated from the first assertion, forcing the
     /// demand-retirement path instead of the predictive one.
@@ -740,12 +723,11 @@ pub fn run_campaign_with(
     let mut records = Vec::with_capacity(injections);
     for i in 0..injections {
         let seed = base_seed.wrapping_add(i as u64).max(1);
-        let faults = if campaign.class.is_persistent() {
-            FaultPlan::seeded_class(seed, 1, window, sites, campaign.class)
-        } else if campaign.multi_fault {
+        // A persistent class takes precedence over `multi_fault`.
+        let faults = if campaign.multi_fault && !campaign.class.is_persistent() {
             FaultPlan::seeded_burst(seed, 1, window, sites)
         } else {
-            FaultPlan::seeded(seed, 1, window, sites)
+            FaultPlan::seeded_class(seed, 1, window, sites, campaign.class)
         };
         // One injection in four runs on an end-of-life machine whose spare
         // pools are already consumed: retirement then has to fence the
@@ -888,8 +870,8 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_deterministic() {
-        let a = FaultPlan::seeded(42, 8, (100, 1000), &FaultSite::ALL);
-        let b = FaultPlan::seeded(42, 8, (100, 1000), &FaultSite::ALL);
+        let a = FaultPlan::seeded_class(42, 8, (100, 1000), &FaultSite::ALL, FaultClass::Transient);
+        let b = FaultPlan::seeded_class(42, 8, (100, 1000), &FaultSite::ALL, FaultClass::Transient);
         assert_eq!(a.events.len(), 8);
         for (x, y) in a.events.iter().zip(&b.events) {
             assert_eq!(x.cycle, y.cycle);
@@ -897,7 +879,7 @@ mod tests {
             assert_eq!(x.index, y.index);
             assert_eq!(x.bit, y.bit);
         }
-        let c = FaultPlan::seeded(43, 8, (100, 1000), &FaultSite::ALL);
+        let c = FaultPlan::seeded_class(43, 8, (100, 1000), &FaultSite::ALL, FaultClass::Transient);
         assert!(a
             .events
             .iter()
@@ -907,7 +889,7 @@ mod tests {
 
     #[test]
     fn plan_cycles_respect_window() {
-        let p = FaultPlan::seeded(7, 64, (500, 600), &FaultSite::ALL);
+        let p = FaultPlan::seeded_class(7, 64, (500, 600), &FaultSite::ALL, FaultClass::Transient);
         for e in &p.events {
             assert!(
                 (500..600).contains(&e.cycle),

@@ -108,7 +108,13 @@ fn seeded_fault_campaign_byte_identical() {
     for i in 0..64u64 {
         let opts = RunOptions {
             livelock_cycles: clean.cycles * 4,
-            faults: FaultPlan::seeded(0x5EED_7E57 ^ i, 1, window, &sites),
+            faults: FaultPlan::seeded_class(
+                0x5EED_7E57 ^ i,
+                1,
+                window,
+                &sites,
+                FaultClass::Transient,
+            ),
             protection: ProtectionConfig::secded(),
             checkpoint_interval: 4096,
             ..RunOptions::default()
