@@ -76,5 +76,5 @@ pub use runner::{
 pub use serve::{
     run_service, RejectReason, ServeConfig, ServeFaultPlan, ServeReport, TaskOutcome, TaskService,
 };
-pub use system::{System, SystemConfig, SystemConfigError, SystemResult};
+pub use system::{System, SystemConfig, SystemResult};
 pub use watchdog::{Watchdog, DEFAULT_LIVELOCK_CYCLES};

@@ -59,7 +59,7 @@ use crate::runner::{
     arch_digest, engine_label, golden_arch_digest, golden_step_cap, try_verify_against_golden,
     RunOptions,
 };
-use crate::system::SystemConfigError;
+use crate::system::{system_config_error, ZERO_CORES};
 use crate::watchdog::{Watchdog, DEFAULT_LIVELOCK_CYCLES};
 use std::collections::{HashMap, HashSet, VecDeque};
 use virec_core::policy::XorShift;
@@ -270,7 +270,7 @@ impl ServeConfig {
 
     fn validate(&self) -> Result<(), SimError> {
         if self.ncores == 0 {
-            return Err(SystemConfigError::ZeroCores.into());
+            return Err(system_config_error(ZERO_CORES));
         }
         // Every slot's layout reserves the same register region.
         self.core

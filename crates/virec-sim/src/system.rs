@@ -29,69 +29,16 @@ pub struct SystemConfig {
 }
 
 /// Why a [`System`] (or the serve layer built on top of it) could not be
-/// constructed. Surfaced as [`SimError::Config`] through `From`, so
-/// callers working at the `SimError` level get a typed `config` kind
-/// instead of a construction panic.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SystemConfigError {
-    /// `ncores` was zero — a system needs at least one core.
-    ZeroCores,
-    /// The workload-spec slice length disagrees with `ncores`.
-    WorkloadArity {
-        /// `cfg.ncores`.
-        expected: usize,
-        /// `specs.len()`.
-        got: usize,
-    },
-    /// The per-core-config slice length disagrees with `ncores`.
-    CoreArity {
-        /// `cfg.ncores`.
-        expected: usize,
-        /// `core_cfgs.len()`.
-        got: usize,
-    },
-    /// A core's configuration failed [`CoreConfig::validate`].
-    Core {
-        /// Index of the offending core.
-        core: usize,
-        /// The violated invariant.
-        detail: String,
-    },
-}
-
-impl std::fmt::Display for SystemConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SystemConfigError::ZeroCores => {
-                write!(f, "a system needs at least one core (ncores == 0)")
-            }
-            SystemConfigError::WorkloadArity { expected, got } => {
-                write!(
-                    f,
-                    "one workload spec per core: expected {expected}, got {got}"
-                )
-            }
-            SystemConfigError::CoreArity { expected, got } => {
-                write!(
-                    f,
-                    "one core config per core: expected {expected}, got {got}"
-                )
-            }
-            SystemConfigError::Core { core, detail } => write!(f, "core {core}: {detail}"),
-        }
+/// constructed: a [`SimError::Config`] labelled `system-config`.
+pub(crate) fn system_config_error(detail: impl Into<String>) -> SimError {
+    SimError::Config {
+        detail: detail.into(),
+        diag: RunDiagnostics::placeholder("system-config"),
     }
 }
 
-impl std::error::Error for SystemConfigError {}
-
-impl From<SystemConfigError> for SimError {
-    fn from(e: SystemConfigError) -> SimError {
-        SimError::Config {
-            detail: e.to_string(),
-            diag: RunDiagnostics::placeholder("system-config"),
-        }
-    }
-}
+/// The detail of a system with no cores.
+pub(crate) const ZERO_CORES: &str = "a system needs at least one core (ncores == 0)";
 
 /// Result of a system run.
 #[derive(Clone, Debug)]
@@ -146,12 +93,8 @@ pub struct System {
 
 impl System {
     /// Builds a system where core `i` runs `ctor(n, Layout::for_core(i))`;
-    /// `ncores == 0` is a typed [`SystemConfigError`].
-    pub fn try_new(
-        cfg: SystemConfig,
-        ctor: WorkloadCtor,
-        n: u64,
-    ) -> Result<System, SystemConfigError> {
+    /// `ncores == 0` is a typed [`SimError::Config`].
+    pub fn try_new(cfg: SystemConfig, ctor: WorkloadCtor, n: u64) -> Result<System, SimError> {
         let specs = vec![(ctor, n); cfg.ncores];
         Self::try_new_mixed(cfg, &specs)
     }
@@ -162,7 +105,7 @@ impl System {
     pub fn try_new_mixed(
         cfg: SystemConfig,
         specs: &[(WorkloadCtor, u64)],
-    ) -> Result<System, SystemConfigError> {
+    ) -> Result<System, SimError> {
         let cores = vec![cfg.core; specs.len()];
         Self::try_new_heterogeneous(cfg, &cores, specs)
     }
@@ -171,31 +114,32 @@ impl System {
     /// per-core workloads — e.g. banked and ViReC processors contending on
     /// the same crossbar. Every invalid shape (zero cores, mismatched spec
     /// or core-config arity, an invalid core configuration) is a typed
-    /// [`SystemConfigError`].
+    /// [`SimError::Config`].
     pub fn try_new_heterogeneous(
         cfg: SystemConfig,
         core_cfgs: &[CoreConfig],
         specs: &[(WorkloadCtor, u64)],
-    ) -> Result<System, SystemConfigError> {
-        if cfg.ncores == 0 {
-            return Err(SystemConfigError::ZeroCores);
+    ) -> Result<System, SimError> {
+        let expected = cfg.ncores;
+        if expected == 0 {
+            return Err(system_config_error(ZERO_CORES));
         }
-        if specs.len() != cfg.ncores {
-            return Err(SystemConfigError::WorkloadArity {
-                expected: cfg.ncores,
-                got: specs.len(),
-            });
+        if specs.len() != expected {
+            return Err(system_config_error(format!(
+                "one workload spec per core: expected {expected}, got {}",
+                specs.len()
+            )));
         }
-        if core_cfgs.len() != cfg.ncores {
-            return Err(SystemConfigError::CoreArity {
-                expected: cfg.ncores,
-                got: core_cfgs.len(),
-            });
+        if core_cfgs.len() != expected {
+            return Err(system_config_error(format!(
+                "one core config per core: expected {expected}, got {}",
+                core_cfgs.len()
+            )));
         }
         for (core, c) in core_cfgs.iter().enumerate() {
             c.validate()
                 .and_then(|()| check_region(&Layout::for_core(core), c.nthreads))
-                .map_err(|detail| SystemConfigError::Core { core, detail })?;
+                .map_err(|detail| system_config_error(format!("core {core}: {detail}")))?;
         }
         let mut mem = FlatMem::new(0, layout::mem_size(cfg.ncores));
         let mut cores = Vec::with_capacity(cfg.ncores);
@@ -294,16 +238,11 @@ mod tests {
         let cfg = sys_cfg(2, CoreConfig::banked(2));
         let specs: Vec<(virec_workloads::WorkloadCtor, u64)> = vec![(kernels::spatter::gather, 64)];
         let err = System::try_new_mixed(cfg, &specs).err().expect("must fail");
+        assert_eq!(err.kind(), "config");
         assert_eq!(
-            err,
-            SystemConfigError::WorkloadArity {
-                expected: 2,
-                got: 1
-            }
+            err.to_string(),
+            "system-config: invalid configuration — one workload spec per core: expected 2, got 1"
         );
-        let sim: SimError = err.into();
-        assert_eq!(sim.kind(), "config");
-        assert!(sim.to_string().contains("one workload spec per core"));
     }
 
     #[test]
@@ -316,14 +255,11 @@ mod tests {
         let err = System::try_new_heterogeneous(cfg, &[CoreConfig::banked(2)], &specs)
             .err()
             .expect("must fail");
+        assert_eq!(err.kind(), "config");
         assert_eq!(
-            err,
-            SystemConfigError::CoreArity {
-                expected: 2,
-                got: 1
-            }
+            err.to_string(),
+            "system-config: invalid configuration — one core config per core: expected 2, got 1"
         );
-        assert!(err.to_string().contains("one core config per core"));
     }
 
     #[test]
@@ -332,9 +268,11 @@ mod tests {
         let err = System::try_new(cfg, kernels::spatter::gather, 64)
             .err()
             .expect("must fail");
-        assert_eq!(err, SystemConfigError::ZeroCores);
-        let sim: SimError = err.into();
-        assert_eq!(sim.kind(), "config");
+        assert_eq!(err.kind(), "config");
+        assert_eq!(
+            err.to_string(),
+            "system-config: invalid configuration — a system needs at least one core (ncores == 0)"
+        );
     }
 
     #[test]
@@ -343,9 +281,13 @@ mod tests {
         let err = System::try_new(cfg, kernels::spatter::gather, 64)
             .err()
             .expect("must fail");
-        let sim: SimError = err.into();
-        assert_eq!(sim.kind(), "config");
-        assert!(sim.to_string().contains("at least 12 registers"), "{sim}");
+        assert_eq!(err.kind(), "config");
+        assert!(
+            err.to_string()
+                .starts_with("system-config: invalid configuration — core 0: "),
+            "{err}"
+        );
+        assert!(err.to_string().contains("at least 12 registers"), "{err}");
     }
 
     #[test]
