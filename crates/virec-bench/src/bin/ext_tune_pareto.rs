@@ -6,7 +6,7 @@
 //! panics on any miscompile), so the surface can only contain programs
 //! proven equivalent to their pre-allocation IR.
 
-use virec_bench::harness::env_knob;
+use virec_bench::harness::{env_knob, SweepControl};
 use virec_bench::tune::{pareto_front, pick_for_area, tune_sweep, TuneConfig};
 use virec_sim::report::Table;
 
@@ -15,11 +15,12 @@ use virec_sim::report::Table;
 const ENVELOPE_MM2: f64 = 1.50;
 
 fn main() {
+    let ctl = SweepControl::from_env_and_args();
     let mut cfg = TuneConfig::default();
     if let Some(n) = env_knob("VIREC_N") {
         cfg.n = n;
     }
-    let points = tune_sweep(&cfg);
+    let points = tune_sweep(&cfg, &ctl);
 
     let mut t = Table::new(
         &format!(

@@ -99,32 +99,58 @@ pub struct SweepControl {
 }
 
 impl SweepControl {
-    /// Reads the control knobs from the process arguments (`--resume`,
-    /// `--deadline <ms>`) and environment (`VIREC_RESUME`,
-    /// `VIREC_DEADLINE_MS`, `VIREC_INTERRUPT_AFTER`). Flags win over the
-    /// environment so a resumed invocation can be typed at the shell
-    /// without unsetting anything.
-    pub fn from_env_and_args() -> SweepControl {
+    /// Reads the control knobs from the environment (`VIREC_RESUME`,
+    /// `VIREC_DEADLINE_MS`, `VIREC_INTERRUPT_AFTER`). `virec-cli` starts
+    /// from this and applies its own parsed flags on top.
+    pub fn from_env() -> SweepControl {
         let env_flag =
             |name: &str| std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0" && v != "off");
-        let mut ctl = SweepControl {
+        SweepControl {
             resume: env_flag("VIREC_RESUME"),
             deadline_ms: env_knob("VIREC_DEADLINE_MS").unwrap_or(0),
             interrupt_after: env_knob("VIREC_INTERRUPT_AFTER"),
-        };
-        let args: Vec<String> = std::env::args().collect();
-        for (i, arg) in args.iter().enumerate() {
+        }
+    }
+
+    /// Applies a figure binary's arguments on top of `self`: exactly
+    /// `--resume` and `--deadline <ms>`, which win over the environment so
+    /// a resumed invocation can be typed at the shell without unsetting
+    /// anything. Any other argument, a missing value or a malformed one is
+    /// an error naming it.
+    pub fn parse_args(
+        mut self,
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<SweepControl, String> {
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--resume" => ctl.resume = true,
+                "--resume" => self.resume = true,
                 "--deadline" => {
-                    if let Some(ms) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        ctl.deadline_ms = ms;
-                    }
+                    let ms = args
+                        .next()
+                        .ok_or("--deadline needs a value in milliseconds")?;
+                    self.deadline_ms = ms.parse().map_err(|e| format!("--deadline {ms:?}: {e}"))?;
                 }
-                _ => {}
+                _ => {
+                    return Err(format!(
+                        "unknown argument {arg:?} (accepted: --resume, --deadline <ms>)"
+                    ))
+                }
             }
         }
-        ctl
+        Ok(self)
+    }
+
+    /// A figure binary's control knobs: [`SweepControl::from_env`] plus the
+    /// process arguments through [`SweepControl::parse_args`]. A bad
+    /// argument exits with status 2 naming it, as [`env_knob`] does.
+    pub fn from_env_and_args() -> SweepControl {
+        SweepControl::from_env()
+            .parse_args(std::env::args().skip(1))
+            .unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            })
     }
 }
 
@@ -521,6 +547,30 @@ mod tests {
         assert_eq!(r.values("a").len(), 2);
         assert!((r.mean("a").unwrap() - 1.25).abs() < 1e-12);
         assert_eq!(r.mean("empty"), None);
+    }
+
+    #[test]
+    fn figure_arguments_are_parsed_strictly() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let ctl = SweepControl::default()
+            .parse_args(args(&["--deadline", "250", "--resume"]))
+            .expect("valid arguments");
+        assert!(ctl.resume);
+        assert_eq!(ctl.deadline_ms, 250);
+
+        let err = SweepControl::default()
+            .parse_args(args(&["--deadline", "abc"]))
+            .unwrap_err();
+        assert!(err.starts_with("--deadline \"abc\""), "{err}");
+        let err = SweepControl::default()
+            .parse_args(args(&["--resume", "--deadline"]))
+            .unwrap_err();
+        assert!(err.contains("--deadline needs a value"), "{err}");
+
+        let err = SweepControl::default()
+            .parse_args(args(&["--resume", "--jobs", "2"]))
+            .unwrap_err();
+        assert!(err.contains("unknown argument \"--jobs\""), "{err}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! front over (cycles, mm²) is what `virec-cli tune` reports, along with
 //! the best point inside a caller-supplied area envelope.
 
-use crate::harness::run_spec;
+use crate::harness::{run_spec_controlled, SweepControl};
 use virec_area::{AreaModel, EccAreaModel, RasAreaModel};
 use virec_core::CoreConfig;
 use virec_sim::experiment::{CellData, ExperimentSpec};
@@ -105,8 +105,8 @@ pub fn tv_preflight() -> Result<(), String> {
     }
 }
 
-/// Sweeps budgets × capacities through the experiment layer and returns
-/// every point that completed. Points whose runs fail (livelock at an
+/// Sweeps budgets × capacities through the experiment layer under `ctl`
+/// and returns every point that completed. Points whose runs fail (livelock at an
 /// undersized capacity, cycle caps) are dropped — the experiment layer
 /// records them as structured failures, not panics.
 ///
@@ -115,7 +115,7 @@ pub fn tv_preflight() -> Result<(), String> {
 /// Panics if the TV preflight rejects any compiled kernel, or if a
 /// specific sweep artifact fails validation — a miscompile must kill the
 /// tuner, not bias it.
-pub fn tune_sweep(cfg: &TuneConfig) -> Vec<TunePoint> {
+pub fn tune_sweep(cfg: &TuneConfig, ctl: &SweepControl) -> Vec<TunePoint> {
     if let Err(e) = tv_preflight() {
         panic!("translation-validation preflight failed:\n{e}");
     }
@@ -172,7 +172,7 @@ pub fn tune_sweep(cfg: &TuneConfig) -> Vec<TunePoint> {
             });
         }
     }
-    let res = run_spec(&spec);
+    let res = run_spec_controlled(&spec, ctl);
 
     let area = |capacity: usize| {
         RasAreaModel::default().virec_core(
@@ -296,7 +296,7 @@ mod tests {
             capacities: vec![12, 24],
             ..TuneConfig::default()
         };
-        let points = tune_sweep(&cfg);
+        let points = tune_sweep(&cfg, &SweepControl::from_env());
         assert!(!points.is_empty());
         let front = pareto_front(&points);
         assert!(!front.is_empty());

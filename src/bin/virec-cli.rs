@@ -418,7 +418,7 @@ fn cmd_sweep(f: &Flags) -> Result<ExitCode, String> {
 
     // Resume/deadline come from the environment too (VIREC_RESUME,
     // VIREC_DEADLINE_MS, VIREC_INTERRUPT_AFTER); explicit flags win.
-    let mut ctl = harness::SweepControl::from_env_and_args();
+    let mut ctl = harness::SweepControl::from_env();
     ctl.resume |= f.on("resume");
     ctl.deadline_ms = f.or("deadline", ctl.deadline_ms)?;
 
@@ -978,7 +978,7 @@ fn cmd_tune(f: &Flags) -> Result<ExitCode, String> {
         .validate()
         .map_err(config_error)?;
 
-    let points = tune_sweep(&cfg);
+    let points = tune_sweep(&cfg, &harness::SweepControl::from_env());
     if points.is_empty() {
         eprintln!("error: no sweep point completed (capacities too small?)");
         return Ok(ExitCode::FAILURE);
