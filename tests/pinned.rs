@@ -2,7 +2,7 @@
 //! handful of small runs through every entry point of the simulator — the
 //! single-core runner in both loop modes, the golden reference, a
 //! prefetch-exact run with its recorded oracle, a multi-core `System`, a
-//! SEC-DED fault campaign and three serve runs.
+//! SEC-DED fault campaign and five serve runs.
 //!
 //! The differential suites prove that two paths agree with each other;
 //! these constants prove that neither path moved. A refactor of the step
@@ -214,23 +214,32 @@ fn assert_report_pinned(r: &ServeReport, summary: &str, debug_fnv: u64) {
     assert_eq!(fnv1a(&debug), debug_fnv, "{debug}");
 }
 
-#[test]
-fn faulty_crossbar_serve_report_is_pinned() {
-    // Transient and sticky faults under SEC-DED, a 400k-cycle SLO,
-    // quarantine and failover, and epoch snapshots.
+/// The crossbar campaign of the three protection pins below: transient
+/// upsets and one sticky core under `protection`, a 400k-cycle SLO.
+fn faulty_crossbar_serve(protection: ProtectionConfig) -> ServeReport {
     let mut cfg = ServeConfig::streaming(3, CoreConfig::virec(2, 16), 48, 0xD1FF_5EED);
     cfg.mix = default_mix(32);
     cfg.mean_interarrival = 512;
     cfg.faults = ServeFaultPlan::campaign(8, 1);
-    cfg.protection = ProtectionConfig::secded();
+    cfg.protection = protection;
     cfg.deadline_cycles = 400_000;
-    let r = run_service(cfg).expect("serve run completes");
+    run_service(cfg).expect("serve run completes")
+}
+
+#[test]
+fn faulty_crossbar_serve_report_is_pinned() {
+    // Transient and sticky faults under SEC-DED, a 400k-cycle SLO,
+    // quarantine and failover, and epoch snapshots.
     let want = "\
 serve[virec]: submitted=48 completed=48 rejected_queue_full=0 rejected_quarantined=0 failed=0 lost=0 duplicated=0
 serve[virec]: faults injected=11 corrected=8 uncorrectable=3 silent_corruptions=0 retries=2 failovers=1 quarantined_cores=1
 serve[virec]: p50=2667 p99=4195 p999=4195 cycles, tasks_per_sec=1672940, availability=72.4%, goodput=100.0%
 serve[virec]: ras repairs=0 fenced_cores=0 spares_consumed=0";
-    assert_report_pinned(&r, want, 0x7D14_6CC0_2596_4D11);
+    assert_report_pinned(
+        &faulty_crossbar_serve(ProtectionConfig::secded()),
+        want,
+        0x7D14_6CC0_2596_4D11,
+    );
 }
 
 #[test]
@@ -253,4 +262,35 @@ serve[virec]: faults injected=3 corrected=0 uncorrectable=3 silent_corruptions=0
 serve[virec]: p50=1236 p99=1444 p999=1710 cycles, tasks_per_sec=1920538, availability=73.5%, goodput=100.0%
 serve[virec]: ras repairs=1 fenced_cores=2 spares_consumed=1";
     assert_report_pinned(&r, want, 0xA4A3_58D8_3F47_4BAE);
+}
+
+#[test]
+fn parity_serve_report_is_pinned() {
+    // Odd-weight upsets are detected; a double-bit burst passes parity and
+    // only the golden check catches it.
+    let want = "\
+serve[virec]: submitted=48 completed=47 rejected_queue_full=0 rejected_quarantined=0 failed=1 lost=0 duplicated=0
+serve[virec]: faults injected=11 corrected=0 uncorrectable=8 silent_corruptions=0 retries=9 failovers=1 quarantined_cores=1
+serve[virec]: p50=2864 p99=4931 p999=4931 cycles, tasks_per_sec=1597118, availability=73.9%, goodput=97.9%
+serve[virec]: ras repairs=0 fenced_cores=0 spares_consumed=0";
+    assert_report_pinned(
+        &faulty_crossbar_serve(ProtectionConfig::parity()),
+        want,
+        0x3ACC_81F9_1EC0_28F5,
+    );
+}
+
+#[test]
+fn unprotected_serve_report_is_pinned() {
+    // Every upset lands in the image.
+    let want = "\
+serve[virec]: submitted=48 completed=47 rejected_queue_full=0 rejected_quarantined=0 failed=1 lost=0 duplicated=0
+serve[virec]: faults injected=11 corrected=0 uncorrectable=0 silent_corruptions=0 retries=9 failovers=1 quarantined_cores=1
+serve[virec]: p50=3312 p99=8093 p999=8093 cycles, tasks_per_sec=1442160, availability=73.8%, goodput=97.9%
+serve[virec]: ras repairs=0 fenced_cores=0 spares_consumed=0";
+    assert_report_pinned(
+        &faulty_crossbar_serve(ProtectionConfig::none()),
+        want,
+        0xA21C_6518_D036_404C,
+    );
 }
