@@ -268,6 +268,24 @@ impl FaultEvent {
     pub fn family(&self) -> (FaultSite, u64) {
         (self.site, self.index)
     }
+
+    /// A multi-bit upset: one same-cycle event on `(site, index)` per bit
+    /// in `bits`, the group the fault layer sees whole.
+    pub(crate) fn flips(
+        cycle: u64,
+        site: FaultSite,
+        index: u64,
+        class: FaultClass,
+        bits: &[u8],
+    ) -> impl Iterator<Item = FaultEvent> + '_ {
+        bits.iter().map(move |&bit| FaultEvent {
+            cycle,
+            site,
+            index,
+            bit,
+            class,
+        })
+    }
 }
 
 /// A deterministic schedule of faults for one run.
@@ -315,23 +333,11 @@ impl FaultPlan {
             let double = matches!(class, FaultClass::StuckAt { .. })
                 && FaultSite::SECDED_WORDS.contains(&site)
                 && rng.next_u64().is_multiple_of(3);
-            events.push(FaultEvent {
-                cycle,
-                site,
-                index,
-                bit,
-                class,
-            });
+            let mut bits = vec![bit];
             if double {
-                let bit2 = ((bit as u64 + 1 + rng.next_u64() % 63) % 64) as u8;
-                events.push(FaultEvent {
-                    cycle,
-                    site,
-                    index,
-                    bit: bit2,
-                    class,
-                });
+                bits.push(((bit as u64 + 1 + rng.next_u64() % 63) % 64) as u8);
             }
+            events.extend(FaultEvent::flips(cycle, site, index, class, &bits));
         }
         FaultPlan { events }
     }
@@ -358,20 +364,8 @@ impl FaultPlan {
             // Second flip in the same word, guaranteed distinct so the two
             // cannot XOR-cancel into a no-op.
             let bit2 = ((bit as u64 + 1 + rng.next_u64() % 63) % 64) as u8;
-            events.push(FaultEvent {
-                cycle,
-                site,
-                index,
-                bit,
-                class: FaultClass::Transient,
-            });
-            events.push(FaultEvent {
-                cycle,
-                site,
-                index,
-                bit: bit2,
-                class: FaultClass::Transient,
-            });
+            let class = FaultClass::Transient;
+            events.extend(FaultEvent::flips(cycle, site, index, class, &[bit, bit2]));
         }
         FaultPlan { events }
     }

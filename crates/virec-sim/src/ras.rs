@@ -24,9 +24,10 @@
 //!   taken out of service with no replacement — and the machine keeps
 //!   running with less capacity instead of dying.
 //!
-//! The runner owns the per-run [`RasStats`] and the retirement log
-//! ([`RetiredRegion`]); both live *outside* the checkpoint ring, because a
-//! physical repair survives an architectural rollback.
+//! The fault router every machine shares owns the per-run [`RasStats`]
+//! and the retirement log ([`RetiredRegion`]); both live *outside* the
+//! runner's checkpoint ring, because a physical repair survives an
+//! architectural rollback.
 
 use std::collections::HashMap;
 

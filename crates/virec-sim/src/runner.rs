@@ -2,9 +2,9 @@
 //!
 //! [`try_run_single`] runs a workload on a 1-core [`Machine`]: the shared
 //! step loop supplies the forward-progress watchdog, the budget, the gate
-//! and cycle skipping, while this module's cycle hook applies any scheduled
-//! [`FaultPlan`] through the protection model, keeps the checkpoint ring
-//! and drives the RAS layer. The final architectural state is verified
+//! and cycle skipping, while this module's cycle hook routes any scheduled
+//! [`FaultPlan`] through the shared fault router, keeps the checkpoint
+//! ring and drives the RAS layer. The final architectural state is verified
 //! against the golden interpreter, and every failure is a typed
 //! [`SimError`].
 
@@ -20,8 +20,8 @@ use std::collections::{HashMap, VecDeque};
 use virec_core::engines::ROLLBACK_DEPTH;
 use virec_core::{Core, CoreConfig, CoreStats, EngineKind, OracleSchedule, QuantumTrace};
 use virec_isa::{ExecOutcome, FlatMem, Interpreter, Reg, ThreadCtx};
-use virec_mem::{Fabric, FabricConfig, FabricStats, LinkRetireOutcome, RetireOutcome};
-use virec_workloads::{layout, Workload};
+use virec_mem::{line_of, Fabric, FabricConfig, FabricStats, LinkRetireOutcome, RetireOutcome};
+use virec_workloads::{layout, Layout, Workload};
 
 /// Default architectural-checkpoint spacing: the rollback depth (the
 /// backend's in-flight window, §5.1) times a nominal 256-cycle scheduling
@@ -234,11 +234,11 @@ fn try_run_single_impl(
         RunResult {
             cycles,
             stats: *core.stats(),
-            faults_applied: faults.applied,
+            faults_applied: faults.router.applied,
             arch_digest,
-            ecc: faults.ecc,
+            ecc: faults.router.ecc,
             checkpoint_clone_ns: faults.checkpoint_clone_ns,
-            ras: faults.ras,
+            ras: faults.router.ras,
             fabric: *m.fabric.stats(),
         },
         core.take_quantum_trace(),
@@ -256,27 +256,21 @@ struct Checkpoint {
     ecc: EccStats,
 }
 
-/// The runner's cycle hook: scheduled fault events routed through the
-/// protection model, the checkpoint ring with rollback and replay, and the
-/// RAS layer (patrol scrubber, CE tracker, retirements). Inert — and
-/// nearly free — for an ordinary run.
+/// The runner's cycle hook: the single-run fault policy around the shared
+/// [`FaultRouter`] — the event schedule with its re-arming, the checkpoint
+/// ring with rollback and replay, the patrol scrubber and row/way
+/// retirement. Inert — and nearly free — for an ordinary run.
 struct FaultLayer<'a> {
     workload: &'a Workload,
     opts: &'a RunOptions,
     pending: Vec<FaultEvent>,
-    /// Descriptions of the faults that landed (and of the recoveries).
-    applied: Vec<String>,
-    ecc: EccStats,
+    /// Routes the due events on core 0. Its log and ECC counters rewind
+    /// with the checkpoint ring; its RAS state does not: a physical repair
+    /// survives a rollback and is replayed onto every restored machine.
+    router: FaultRouter,
     checkpoints: VecDeque<Checkpoint>,
     checkpoint_clone_ns: u64,
-    // RAS state lives *outside* the checkpoint ring: a physical repair (a
-    // masked way, a remapped row) survives an architectural rollback, so
-    // the retirement log is replayed onto every restored machine.
-    ras: RasStats,
-    tracker: CeTracker,
     scrubber: Option<Scrubber>,
-    retired_log: Vec<RetiredRegion>,
-    retired_families: Vec<(FaultSite, u64)>,
     due_restores: HashMap<(FaultSite, u64), u32>,
 }
 
@@ -291,15 +285,9 @@ impl<'a> FaultLayer<'a> {
             workload,
             opts,
             pending: opts.faults.events.clone(),
-            applied: Vec::new(),
-            ecc: EccStats::default(),
+            router: FaultRouter::new(vec![workload.layout], opts.protection, opts.ras),
             checkpoints: VecDeque::new(),
             checkpoint_clone_ns: 0,
-            ras: RasStats::default(),
-            tracker: CeTracker::new(
-                opts.ras.map_or(1, |rc| rc.ce_threshold),
-                opts.ras.map_or(0, |rc| rc.ce_leak_interval),
-            ),
             scrubber: opts.ras.and_then(|rc| {
                 (rc.scrub_interval > 0).then(|| {
                     Scrubber::new(vec![
@@ -308,20 +296,18 @@ impl<'a> FaultLayer<'a> {
                     ])
                 })
             }),
-            retired_log: Vec::new(),
-            retired_families: Vec::new(),
             due_restores: HashMap::new(),
         }
     }
 
     /// Attributes a failure to the injected faults, if any landed.
     fn wrap(&self, e: SimError) -> SimError {
-        if self.applied.is_empty() {
+        if self.router.applied.is_empty() {
             e
         } else {
             let diag = Box::new(e.diagnostics().clone());
             SimError::FaultDetected {
-                faults: self.applied.clone(),
+                faults: self.router.applied.clone(),
                 cause: Box::new(e),
                 diag,
             }
@@ -338,20 +324,20 @@ impl<'a> FaultLayer<'a> {
             slot.cycle = now;
             slot.machine.clone_from(m);
             slot.pending.clone_from(&self.pending);
-            slot.applied.clone_from(&self.applied);
-            slot.ecc = self.ecc;
+            slot.applied.clone_from(&self.router.applied);
+            slot.ecc = self.router.ecc;
             self.checkpoints.push_back(slot);
         } else {
             self.checkpoints.push_back(Checkpoint {
                 cycle: now,
                 machine: m.clone(),
                 pending: self.pending.clone(),
-                applied: self.applied.clone(),
-                ecc: self.ecc,
+                applied: self.router.applied.clone(),
+                ecc: self.router.ecc,
             });
         }
         self.checkpoint_clone_ns += snap_start.elapsed().as_nanos() as u64;
-        self.ecc.checkpoints_taken += 1;
+        self.router.ecc.checkpoints_taken += 1;
     }
 
     /// One patrol read. A persistent defect whose cells sit in the line
@@ -364,33 +350,26 @@ impl<'a> FaultLayer<'a> {
         // A real fabric request that occupies the target bank like demand
         // traffic — scrubbing is not free bandwidth.
         m.fabric.submit_scrub(now, addr);
-        self.ras.scrub_reads += 1;
+        self.router.ras.scrub_reads += 1;
         // The first pending assertion of each live persistent family whose
         // word sits in the scrubbed line.
-        let line = addr & !(virec_mem::LINE_BYTES - 1);
         let mut hits: Vec<(FaultEvent, u64)> = Vec::new();
         for ev in &self.pending {
             let fam = ev.family();
             if !ev.class.is_persistent()
                 || !matches!(ev.site, FaultSite::BackingReg | FaultSite::DramLine)
-                || self.retired_families.contains(&fam)
+                || self.router.retired_families.contains(&fam)
                 || hits.iter().any(|(h, _)| h.family() == fam)
             {
                 continue;
             }
-            match word_target(ev, m, self.workload) {
-                Some((waddr, _)) if waddr & !(virec_mem::LINE_BYTES - 1) == line => {
-                    hits.push((*ev, waddr));
-                }
+            match self.router.word_target(0, ev, m) {
+                Some((waddr, _)) if line_of(waddr) == line_of(addr) => hits.push((*ev, waddr)),
                 _ => {}
             }
         }
         for (ev, waddr) in hits {
-            self.ras.ce_observations += 1;
-            let key = m.fabric.row_key(waddr);
-            if self.tracker.observe(key, now) {
-                self.tracker.clear(key);
-                self.ras.predictive_retirements += 1;
+            if self.router.charge(m.fabric.row_key(waddr), now) {
                 self.retire(&ev, Some(waddr), m, now);
             }
         }
@@ -407,15 +386,16 @@ impl<'a> FaultLayer<'a> {
     /// the fabric.
     fn retire(&mut self, ev: &FaultEvent, word_addr: Option<u64>, m: &mut Machine, now: u64) {
         let Machine { cores, fabric, mem } = m;
+        let r = &mut self.router;
         match (ev.site, word_addr) {
             (FaultSite::TagValue, _) => {
                 match cores[0].retire_value_way(ev.index, true, fabric, mem) {
                     Some(w) => {
                         if !w.spared {
-                            self.ras.degraded_regions += 1;
+                            r.ras.degraded_regions += 1;
                         }
-                        self.applied.push(format!("cycle {now}: ras {}", w.desc));
-                        self.retired_log.push(RetiredRegion::Way {
+                        r.applied.push(format!("cycle {now}: ras {}", w.desc));
+                        r.retired_log.push(RetiredRegion::Way {
                             idx: w.idx,
                             spared: w.spared,
                         });
@@ -424,8 +404,8 @@ impl<'a> FaultLayer<'a> {
                         // No maskable way (banked engine) or the store is
                         // at its in-flight floor: fence the family
                         // logically and run on with the capacity loss.
-                        self.ras.degraded_regions += 1;
-                        self.applied.push(format!(
+                        r.ras.degraded_regions += 1;
+                        r.applied.push(format!(
                             "cycle {now}: ras fenced unmaskable way family index {}",
                             ev.index
                         ));
@@ -439,33 +419,33 @@ impl<'a> FaultLayer<'a> {
                 let outcome = fabric.retire_row(addr);
                 let spared = matches!(outcome, RetireOutcome::Spared { .. });
                 if !spared {
-                    self.ras.degraded_regions += 1;
+                    r.ras.degraded_regions += 1;
                 }
                 // Data migration: the row's live lines are copied to the
                 // replacement row through the fabric — repair bandwidth is
                 // real bandwidth, so it contends with demand traffic.
                 let lines = fabric.config().dram.lines_per_row.min(32);
-                let base = addr & !(virec_mem::LINE_BYTES - 1);
+                let base = line_of(addr);
                 for i in 0..lines {
                     fabric.submit_scrub(now, base + i * virec_mem::LINE_BYTES);
                 }
-                self.ras.migrated_lines += lines;
-                self.applied.push(format!(
+                r.ras.migrated_lines += lines;
+                r.applied.push(format!(
                     "cycle {now}: ras retired row behind {addr:#x} ({})",
                     if spared { "spared" } else { "fenced" }
                 ));
-                self.retired_log.push(RetiredRegion::Row { addr, spared });
+                r.retired_log.push(RetiredRegion::Row { addr, spared });
             }
             _ => {
-                self.ras.degraded_regions += 1;
-                self.applied.push(format!(
+                r.ras.degraded_regions += 1;
+                r.applied.push(format!(
                     "cycle {now}: ras fenced non-retirable site {} index {}",
                     ev.site, ev.index
                 ));
             }
         }
         let fam = ev.family();
-        self.retired_families.push(fam);
+        r.retired_families.push(fam);
         self.pending.retain(|e| e.family() != fam);
     }
 
@@ -483,11 +463,11 @@ impl<'a> FaultLayer<'a> {
                 continue;
             }
             let ev = self.pending.swap_remove(i);
-            if self.retired_families.contains(&ev.family()) {
+            if self.router.retired_families.contains(&ev.family()) {
                 // The region is out of service — its cells are no longer
                 // wired to anything. The assertion is dropped and the
                 // family is not re-armed.
-                self.ras.suppressed_assertions += 1;
+                self.router.ras.suppressed_assertions += 1;
                 continue;
             }
             // Persistent classes re-assert: schedule the next firing up
@@ -500,10 +480,7 @@ impl<'a> FaultLayer<'a> {
                     ..ev
                 });
             }
-            match groups
-                .iter_mut()
-                .find(|g| g[0].site == ev.site && g[0].index == ev.index)
-            {
+            match groups.iter_mut().find(|g| g[0].family() == ev.family()) {
                 Some(g) => g.push(ev),
                 None => groups.push(vec![ev]),
             }
@@ -511,190 +488,18 @@ impl<'a> FaultLayer<'a> {
         groups
     }
 
-    /// Link upsets never reach the word-protection model: the per-hop CRC
-    /// detects the corrupted flit in transit and the nack/retransmit
-    /// protocol delivers a clean copy, so the upset is corrected at the
-    /// link layer. Persistent defects charge the link's CE leaky bucket
-    /// toward predictive retirement (route-around) or, when no route would
-    /// survive, degraded fencing.
-    fn link_upsets(&mut self, group: &[FaultEvent], m: &mut Machine, now: u64) {
-        for ev in group {
-            let Some(link) = m.fabric.inject_link_fault(ev.index) else {
-                // Crossbar topology, or the link is already out of
-                // service: nothing left to corrupt.
-                continue;
-            };
-            self.ecc.corrected += 1;
-            self.applied.push(format!(
-                "cycle {now}: noc link {link} upset (crc caught, retransmitted)"
-            ));
-            let fam = ev.family();
-            if self.opts.ras.is_none()
-                || !ev.class.is_persistent()
-                || self.retired_families.contains(&fam)
-            {
-                continue;
-            }
-            self.ras.ce_observations += 1;
-            let key = (1u64 << 62) | link as u64;
-            if !self.tracker.observe(key, now) {
-                continue;
-            }
-            self.tracker.clear(key);
-            self.ras.predictive_retirements += 1;
-            match m
-                .fabric
-                .retire_link(link)
-                .expect("mesh confirmed by inject_link_fault")
-            {
-                LinkRetireOutcome::Rerouted => {
-                    self.applied.push(format!(
-                        "cycle {now}: ras retired noc link {link} (rerouted)"
-                    ));
-                }
-                LinkRetireOutcome::Fenced => {
-                    self.ras.degraded_regions += 1;
-                    self.applied.push(format!(
-                        "cycle {now}: ras fenced noc link {link} \
-                         (half bandwidth, no surviving route)"
-                    ));
-                }
-            }
-            self.retired_log.push(RetiredRegion::Link { link });
-            self.retired_families.push(fam);
-            self.pending.retain(|e| e.family() != fam);
-        }
-    }
-
-    /// Routes one fault group (same cycle, same site, same word) through
-    /// the coverage map and applies whatever the modeled hardware lets
-    /// through. Returns the description of a detected-uncorrectable group:
-    /// the machine was *not* corrupted (the detection is precise), and the
-    /// caller must restore a checkpoint or fail with
-    /// [`SimError::Uncorrectable`].
-    fn protect(&mut self, group: &[FaultEvent], m: &mut Machine, now: u64) -> Option<String> {
-        let site = group[0].site;
-        let level = self.opts.protection.level(site);
-        if level == ProtectionLevel::None {
-            for ev in group {
-                if let Some(desc) = apply_fault(ev, m, self.workload) {
-                    if !self.opts.protection.is_none() {
-                        self.ecc.unprotected += 1;
-                    }
-                    self.applied.push(format!("cycle {now}: {desc}"));
-                }
-            }
-            return None;
-        }
-        let detected = match level {
-            ProtectionLevel::Parity => "parity detected",
-            _ => "secded detected double-bit",
-        };
-        let desc = match site {
-            FaultSite::TagValue | FaultSite::RollbackSlot => {
-                // Probe applicability on a deep copy so detected or
-                // corrected flips never touch the real machine — the check
-                // bits caught them before any consumer read the entry.
-                let core = &mut m.cores[0];
-                let mut probe = core.clone();
-                let landed: Vec<String> = group
-                    .iter()
-                    .filter_map(engine_fault_of)
-                    .filter_map(|f| probe.inject_fault(f))
-                    .collect();
-                let n = landed.len();
-                if n == 0 {
-                    return None; // structure empty: nothing to protect
-                }
-                let landed = landed.join("; ");
-                // The entry's check bits see an n-bit flip.
-                match word_verdict(level, 0, u64::MAX >> (64 - n.min(64))) {
-                    WordVerdict::Detected => format!("cycle {now}: {detected} {site} ({landed})"),
-                    WordVerdict::Corrected => {
-                        self.ecc.corrected += 1;
-                        self.applied
-                            .push(format!("cycle {now}: secded corrected {site} ({landed})"));
-                        return None;
-                    }
-                    verdict => {
-                        // The corruption goes through for real and the
-                        // differential checker is the only remaining net.
-                        for f in group.iter().filter_map(engine_fault_of) {
-                            core.inject_fault(f);
-                        }
-                        self.applied.push(if level == ProtectionLevel::Parity {
-                            self.ecc.parity_escapes += 1;
-                            format!("cycle {now}: parity escape {site} ({landed})")
-                        } else {
-                            debug_assert_eq!(verdict, WordVerdict::PassedThrough);
-                            self.ecc.unprotected += n as u64;
-                            format!("cycle {now}: {n} flips passed {site}")
-                        });
-                        return None;
-                    }
-                }
-            }
-            FaultSite::StuckFill => unreachable!("stuck-fill is never protected"),
-            FaultSite::NocLink => unreachable!("link upsets are handled at the link layer"),
-            FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse => {
-                // `None`: target out of range / no in-flight request.
-                let (addr, base) = word_target(&group[0], m, self.workload)?;
-                let mask: u64 = group.iter().fold(0, |m, ev| m ^ (1u64 << (ev.bit % 64)));
-                if mask == 0 {
-                    return None; // flips cancelled each other
-                }
-                let word = m.mem.read_u64(addr);
-                match word_verdict(level, word, mask) {
-                    WordVerdict::Detected => {
-                        format!("cycle {now}: {detected} {base} mask {mask:#x}")
-                    }
-                    WordVerdict::Corrected => {
-                        self.ecc.corrected += 1;
-                        self.applied.push(format!(
-                            "cycle {now}: secded corrected {base} bit {}",
-                            mask.trailing_zeros()
-                        ));
-                        return None;
-                    }
-                    verdict => {
-                        m.mem.write_u64(addr, word ^ mask);
-                        self.applied.push(if level == ProtectionLevel::Parity {
-                            self.ecc.parity_escapes += 1;
-                            format!("cycle {now}: parity escape {base} mask {mask:#x}")
-                        } else {
-                            debug_assert_eq!(verdict, WordVerdict::PassedThrough);
-                            self.ecc.unprotected += group.len() as u64;
-                            format!(
-                                "cycle {now}: {} flips passed {base} mask {mask:#x}",
-                                mask.count_ones()
-                            )
-                        });
-                        return None;
-                    }
-                }
-            }
-        };
-        self.ecc.detected_uncorrectable += 1;
-        self.applied.push(desc.clone());
-        Some(desc)
-    }
-
     /// Predictive sparing: every *corrected* assertion of a persistent
     /// defect charges the region's leaky bucket; at the threshold the
     /// region is retired before a second cell failure can turn correctable
     /// into uncorrectable.
     fn charge_corrected(&mut self, ev: &FaultEvent, m: &mut Machine, now: u64) {
-        let fam = ev.family();
-        if self.retired_families.contains(&fam) {
+        if self.router.retired_families.contains(&ev.family()) {
             return;
         }
-        self.ras.ce_observations += 1;
         // Word sites key on their DRAM row, everything else on its index.
-        let waddr = word_target(ev, m, self.workload).map(|(a, _)| a);
+        let waddr = self.router.word_target(0, ev, m).map(|(a, _)| a);
         let key = waddr.map_or((1 << 63) | ev.index, |a| m.fabric.row_key(a));
-        if self.tracker.observe(key, now) {
-            self.tracker.clear(key);
-            self.ras.predictive_retirements += 1;
+        if self.router.charge(key, now) {
             self.retire(ev, waddr, m, now);
         }
     }
@@ -747,15 +552,16 @@ impl<'a> FaultLayer<'a> {
         let restored = ck.cycle;
         m.clone_from(&ck.machine);
         self.pending.clone_from(&ck.pending);
-        self.applied.clone_from(&ck.applied);
+        self.router.applied.clone_from(&ck.applied);
         // Correction/escape counters rewind with the state (re-fired events
         // in the replay window re-count); the cumulative recovery counters
         // carry forward.
+        let ecc = &self.router.ecc;
         let ecc = EccStats {
-            checkpoints_taken: self.ecc.checkpoints_taken,
+            checkpoints_taken: ecc.checkpoints_taken,
             detected_uncorrectable: ck.ecc.detected_uncorrectable + 1,
-            restores: self.ecc.restores + 1,
-            replay_cycles: self.ecc.replay_cycles + (now - restored),
+            restores: ecc.restores + 1,
+            replay_cycles: ecc.replay_cycles + (now - restored),
             ..ck.ecc
         };
         // Transient members of the detected group are suppressed for the
@@ -767,7 +573,7 @@ impl<'a> FaultLayer<'a> {
         // onto the restored machine. Stats are not recounted, and spare
         // numbering re-applies in log order, hence deterministically.
         let Machine { cores, fabric, mem } = &mut *m;
-        for r in &self.retired_log {
+        for r in &self.router.retired_log {
             match *r {
                 RetiredRegion::Way { idx, spared } => {
                     cores[0].remask_way(idx, spared, fabric, mem);
@@ -787,17 +593,17 @@ impl<'a> FaultLayer<'a> {
         // replay cannot trip over the same defect again.
         if self.opts.ras.is_some() {
             for ev in suppress.iter().filter(|e| e.class.is_persistent()) {
-                if !self.retired_families.contains(&ev.family()) {
-                    let waddr = word_target(ev, m, self.workload).map(|(a, _)| a);
-                    self.ras.demand_retirements += 1;
+                if !self.router.retired_families.contains(&ev.family()) {
+                    let waddr = self.router.word_target(0, ev, m).map(|(a, _)| a);
+                    self.router.ras.demand_retirements += 1;
                     self.retire(ev, waddr, m, restored);
                 }
             }
-            let retired = &self.retired_families;
+            let retired = &self.router.retired_families;
             self.pending.retain(|e| !retired.contains(&e.family()));
         }
-        self.ecc = ecc;
-        self.applied.push(format!(
+        self.router.ecc = ecc;
+        self.router.applied.push(format!(
             "{detected_desc}; restored checkpoint @ cycle {restored} (replaying {} cycles)",
             now - restored
         ));
@@ -827,19 +633,23 @@ impl CycleHook for FaultLayer<'_> {
         let mut detected_desc = String::new();
         for group in &groups {
             if group[0].site == FaultSite::NocLink {
-                self.link_upsets(group, m, now);
+                for ev in group {
+                    if self.router.link_upset(ev, m, now) == LinkVerdict::Retired {
+                        let fam = ev.family();
+                        self.pending.retain(|e| e.family() != fam);
+                    }
+                }
                 continue;
             }
-            let corrected_before = self.ecc.corrected;
-            if let Some(desc) = self.protect(group, m, now) {
-                suppress.extend_from_slice(group);
-                detected_desc = desc;
-            }
-            if self.opts.ras.is_some()
-                && self.ecc.corrected > corrected_before
-                && group[0].class.is_persistent()
-            {
-                self.charge_corrected(&group[0], m, now);
+            match self.router.protect(0, group, m, now) {
+                Verdict::Detected { desc, .. } => {
+                    suppress.extend_from_slice(group);
+                    detected_desc = desc;
+                }
+                Verdict::Corrected if self.opts.ras.is_some() && group[0].class.is_persistent() => {
+                    self.charge_corrected(&group[0], m, now);
+                }
+                _ => {}
             }
         }
         if suppress.is_empty() {
@@ -868,59 +678,302 @@ impl CycleHook for FaultLayer<'_> {
     }
 }
 
-/// Resolves a word-site fault event to the memory word it targets on the
-/// 1-core machine `m`. Returns `(address, description)` or `None` when the
-/// target is out of range (or, for `FabricResponse`, when no request is in
-/// flight).
-fn word_target(event: &FaultEvent, m: &Machine, workload: &Workload) -> Option<(u64, String)> {
-    let mem_end = m.mem.size() as u64;
-    match event.site {
-        FaultSite::BackingReg => {
-            let core = &m.cores[0];
-            let nthreads = core.config().nthreads as u64;
-            let t = (event.index % nthreads) as usize;
-            let r = Reg::new(((event.index / nthreads) % 31) as u8);
-            let addr = core.region().reg_addr(t, r);
-            (addr + 8 <= mem_end).then(|| (addr, format!("backing-store t{t} {r}")))
-        }
-        FaultSite::DramLine => {
-            let words = (workload.layout.data_size / 8).max(1);
-            let addr = workload.layout.data_base + (event.index % words) * 8;
-            (addr + 8 <= mem_end).then(|| (addr, format!("dram word {addr:#x}")))
-        }
-        FaultSite::FabricResponse => {
-            let addr = m.fabric.inflight_addr(event.index as usize)?;
-            let line = addr & !63;
-            let word = line + (event.bit as u64 % 8) * 8;
-            (word + 8 <= mem_end).then(|| {
-                (
-                    word,
-                    format!("fabric response line {line:#x} word {}", event.bit % 8),
-                )
-            })
-        }
-        _ => None,
-    }
+/// What the protection model made of one fault group.
+#[derive(Debug)]
+pub(crate) enum Verdict {
+    /// Nothing to corrupt: the target is out of range or empty, or the
+    /// flips cancelled each other.
+    NotApplied,
+    /// The upset reached the machine: unprotected, or it defeated the
+    /// check bits unseen.
+    Landed,
+    /// SEC-DED corrected it in place; the machine is untouched.
+    Corrected,
+    /// Detected but uncorrectable; the machine is untouched. The check that
+    /// caught it, the word (0 for a VRMU entry), the bits and the log line.
+    Detected {
+        check: &'static str,
+        addr: u64,
+        mask: u64,
+        desc: String,
+    },
 }
 
-/// Applies one fault event to the live machine with no protection in the
-/// way. Returns a description when the fault landed, `None` when the
-/// targeted structure had nothing to corrupt (e.g. a VRMU site on a banked
-/// engine, or no in-flight request).
-fn apply_fault(event: &FaultEvent, m: &mut Machine, workload: &Workload) -> Option<String> {
-    match event.site {
-        FaultSite::TagValue | FaultSite::RollbackSlot | FaultSite::StuckFill => {
-            m.cores[0].inject_fault(engine_fault_of(event)?)
+/// What the link layer made of one link upset.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LinkVerdict {
+    /// A crossbar, or the link is already out of service.
+    NotApplied,
+    /// The CRC caught the corrupted flit and the link retransmitted it.
+    Landed,
+    /// Landed, and the CE tracker retired the link (route-around, or a
+    /// half-bandwidth fence when no route would survive).
+    Retired,
+}
+
+/// The fault layer every machine shares: resolves a [`FaultEvent`] on one
+/// core (each with its own layout and register region), routes it through
+/// the protection model or the link CRC, and keeps the counters, the CE
+/// tracker and the retirement ledger. What a verdict leads to — a rollback,
+/// an aborted serve attempt — is the caller's policy.
+#[derive(Default)]
+pub(crate) struct FaultRouter {
+    /// Each core's address-space layout, by core index.
+    layouts: Vec<Layout>,
+    protection: ProtectionConfig,
+    /// Descriptions of the faults that landed (and of the recoveries).
+    pub(crate) applied: Vec<String>,
+    pub(crate) ecc: EccStats,
+    pub(crate) ras: RasStats,
+    /// Present only with RAS on: nothing charges it, and nothing retires
+    /// predictively, without it.
+    tracker: Option<CeTracker>,
+    pub(crate) retired_log: Vec<RetiredRegion>,
+    pub(crate) retired_families: Vec<(FaultSite, u64)>,
+}
+
+impl FaultRouter {
+    /// A router over cores laid out as `layouts`.
+    pub(crate) fn new(
+        layouts: Vec<Layout>,
+        protection: ProtectionConfig,
+        ras: Option<RasConfig>,
+    ) -> FaultRouter {
+        FaultRouter {
+            layouts,
+            protection,
+            tracker: ras.map(|rc| CeTracker::new(rc.ce_threshold, rc.ce_leak_interval)),
+            ..FaultRouter::default()
         }
-        FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse => {
-            let (addr, base) = word_target(event, m, workload)?;
-            let v = m.mem.read_u64(addr);
-            m.mem.write_u64(addr, v ^ (1u64 << (event.bit % 64)));
-            Some(format!("{base} bit {}", event.bit % 64))
+    }
+
+    /// Resolves a word-site event to the memory word it targets on core
+    /// `core`. Returns `(address, description)` or `None` when the target
+    /// is out of range (or, for `FabricResponse`, when no request is in
+    /// flight).
+    pub(crate) fn word_target(
+        &self,
+        core: usize,
+        event: &FaultEvent,
+        m: &Machine,
+    ) -> Option<(u64, String)> {
+        let mem_end = m.mem.size() as u64;
+        match event.site {
+            FaultSite::BackingReg => {
+                let core = &m.cores[core];
+                let nthreads = core.config().nthreads as u64;
+                let t = (event.index % nthreads) as usize;
+                let r = Reg::new(((event.index / nthreads) % 31) as u8);
+                let addr = core.region().reg_addr(t, r);
+                (addr + 8 <= mem_end).then(|| (addr, format!("backing-store t{t} {r}")))
+            }
+            FaultSite::DramLine => {
+                let layout = &self.layouts[core];
+                let words = (layout.data_size / 8).max(1);
+                let addr = layout.data_base + (event.index % words) * 8;
+                (addr + 8 <= mem_end).then(|| (addr, format!("dram word {addr:#x}")))
+            }
+            FaultSite::FabricResponse => {
+                let line = line_of(m.fabric.inflight_addr(event.index as usize)?);
+                let word = line + (event.bit as u64 % 8) * 8;
+                (word + 8 <= mem_end).then(|| {
+                    (
+                        word,
+                        format!("fabric response line {line:#x} word {}", event.bit % 8),
+                    )
+                })
+            }
+            _ => None,
         }
-        // Link upsets are consumed by the CRC/retransmission path in the
-        // fault layer, never applied raw (the flit payload is timing-only).
-        FaultSite::NocLink => None,
+    }
+
+    /// Routes one fault group (same cycle, same site, same word) on core
+    /// `core` through the coverage map and applies whatever the modeled
+    /// hardware lets through. A detected-uncorrectable group leaves the
+    /// machine untouched: the detection is precise.
+    pub(crate) fn protect(
+        &mut self,
+        core: usize,
+        group: &[FaultEvent],
+        m: &mut Machine,
+        now: u64,
+    ) -> Verdict {
+        let site = group[0].site;
+        let level = self.protection.level(site);
+        if level == ProtectionLevel::None {
+            // No check bits: each event lands on its own, when its target
+            // has something to corrupt.
+            let mut verdict = Verdict::NotApplied;
+            for ev in group {
+                let landed = match engine_fault_of(ev) {
+                    Some(f) => m.cores[core].inject_fault(f),
+                    None => self.word_target(core, ev, m).map(|(addr, base)| {
+                        let v = m.mem.read_u64(addr);
+                        m.mem.write_u64(addr, v ^ (1u64 << (ev.bit % 64)));
+                        format!("{base} bit {}", ev.bit % 64)
+                    }),
+                };
+                if let Some(desc) = landed {
+                    if !self.protection.is_none() {
+                        self.ecc.unprotected += 1;
+                    }
+                    self.applied.push(format!("cycle {now}: {desc}"));
+                    verdict = Verdict::Landed;
+                }
+            }
+            return verdict;
+        }
+        // The target as its check bits see it: `None` for a VRMU entry
+        // (modelled as a zero word), the flipped bits, how the log names
+        // it, and how many flips land if they pass.
+        let (addr, mask, name, flips) = match site {
+            FaultSite::TagValue | FaultSite::RollbackSlot => {
+                // Probe applicability on a deep copy so detected or
+                // corrected flips never touch the real machine — the check
+                // bits caught them before any consumer read the entry.
+                let mut probe = m.cores[core].clone();
+                let landed: Vec<String> = group
+                    .iter()
+                    .filter_map(engine_fault_of)
+                    .filter_map(|f| probe.inject_fault(f))
+                    .collect();
+                let n = landed.len();
+                if n == 0 {
+                    return Verdict::NotApplied; // structure empty
+                }
+                // The entry's check bits see an n-bit flip.
+                let mask = u64::MAX >> (64 - n.min(64));
+                (None, mask, format!("{site} ({})", landed.join("; ")), n)
+            }
+            FaultSite::StuckFill => unreachable!("stuck-fill is never protected"),
+            FaultSite::NocLink => unreachable!("link upsets are handled at the link layer"),
+            FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse => {
+                let Some((addr, base)) = self.word_target(core, &group[0], m) else {
+                    return Verdict::NotApplied;
+                };
+                let mask: u64 = group.iter().fold(0, |m, ev| m ^ (1u64 << (ev.bit % 64)));
+                if mask == 0 {
+                    return Verdict::NotApplied; // flips cancelled each other
+                }
+                (Some(addr), mask, base, group.len())
+            }
+        };
+        let word = addr.map_or(0, |a| m.mem.read_u64(a));
+        // A word's log lines also name its flipped bits.
+        let (bits, bit) = match addr {
+            Some(_) => (
+                format!(" mask {mask:#x}"),
+                format!(" bit {}", mask.trailing_zeros()),
+            ),
+            None => (String::new(), String::new()),
+        };
+        match word_verdict(level, word, mask) {
+            WordVerdict::Detected => {
+                let check = match level {
+                    ProtectionLevel::Parity => "parity detected",
+                    _ => "secded detected double-bit",
+                };
+                let desc = format!("cycle {now}: {check} {name}{bits}");
+                self.ecc.detected_uncorrectable += 1;
+                self.applied.push(desc.clone());
+                let addr = addr.unwrap_or(0);
+                Verdict::Detected {
+                    check,
+                    addr,
+                    mask,
+                    desc,
+                }
+            }
+            WordVerdict::Corrected => {
+                self.ecc.corrected += 1;
+                self.applied
+                    .push(format!("cycle {now}: secded corrected {name}{bit}"));
+                Verdict::Corrected
+            }
+            verdict => {
+                // The corruption goes through for real and the
+                // differential checker is the only remaining net.
+                match addr {
+                    Some(addr) => m.mem.write_u64(addr, word ^ mask),
+                    None => {
+                        for f in group.iter().filter_map(engine_fault_of) {
+                            m.cores[core].inject_fault(f);
+                        }
+                    }
+                }
+                self.applied.push(if level == ProtectionLevel::Parity {
+                    self.ecc.parity_escapes += 1;
+                    format!("cycle {now}: parity escape {name}{bits}")
+                } else {
+                    debug_assert_eq!(verdict, WordVerdict::PassedThrough);
+                    self.ecc.unprotected += flips as u64;
+                    let n = mask.count_ones();
+                    format!("cycle {now}: {n} flips passed {name}{bits}")
+                });
+                Verdict::Landed
+            }
+        }
+    }
+
+    /// Routes one link upset. Link upsets never reach the word-protection
+    /// model: the per-hop CRC detects the corrupted flit in transit and the
+    /// nack/retransmit protocol delivers a clean copy, so the upset is
+    /// corrected at the link layer. With RAS on, persistent defects charge
+    /// the link's CE leaky bucket toward predictive retirement
+    /// (route-around) or, when no route would survive, degraded fencing.
+    pub(crate) fn link_upset(&mut self, ev: &FaultEvent, m: &mut Machine, now: u64) -> LinkVerdict {
+        let Some(link) = m.fabric.inject_link_fault(ev.index) else {
+            return LinkVerdict::NotApplied;
+        };
+        self.ecc.corrected += 1;
+        self.applied.push(format!(
+            "cycle {now}: noc link {link} upset (crc caught, retransmitted)"
+        ));
+        let fam = ev.family();
+        if !ev.class.is_persistent()
+            || self.retired_families.contains(&fam)
+            || !self.charge((1u64 << 62) | link as u64, now)
+        {
+            return LinkVerdict::Landed;
+        }
+        match m
+            .fabric
+            .retire_link(link)
+            .expect("mesh confirmed by inject_link_fault")
+        {
+            LinkRetireOutcome::Rerouted => {
+                self.applied.push(format!(
+                    "cycle {now}: ras retired noc link {link} (rerouted)"
+                ));
+            }
+            LinkRetireOutcome::Fenced => {
+                self.ras.degraded_regions += 1;
+                self.applied.push(format!(
+                    "cycle {now}: ras fenced noc link {link} \
+                     (half bandwidth, no surviving route)"
+                ));
+            }
+        }
+        self.retired_log.push(RetiredRegion::Link { link });
+        self.retired_families.push(fam);
+        LinkVerdict::Retired
+    }
+
+    /// Charges one corrected error against the region `key` (a packed
+    /// DRAM row, a CAM way or a link) when RAS is on. Returns `true` when
+    /// the region crossed the retirement threshold: its bucket is cleared
+    /// and the predictive retirement is counted, and the caller retires it.
+    pub(crate) fn charge(&mut self, key: u64, now: u64) -> bool {
+        let Some(tracker) = &mut self.tracker else {
+            return false;
+        };
+        self.ras.ce_observations += 1;
+        let crossed = tracker.observe(key, now);
+        if crossed {
+            tracker.clear(key);
+            self.ras.predictive_retirements += 1;
+        }
+        crossed
     }
 }
 
@@ -1130,7 +1183,7 @@ pub fn engine_label(cfg: &CoreConfig) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use virec_workloads::{kernels, Layout};
+    use virec_workloads::kernels;
 
     fn run(cfg: CoreConfig, w: &Workload) -> RunResult {
         try_run_single(cfg, w, &RunOptions::default()).expect("run verifies")
@@ -1249,5 +1302,41 @@ mod tests {
         let w1 = kernels::stream::reduction(128, Layout::for_core(1));
         let g1 = golden_arch_digest(&w1, 4, 1_000_000).expect("golden halts");
         assert_ne!(g, g1, "different slots/kernels must not collide");
+    }
+
+    #[test]
+    fn dram_upsets_land_on_the_routed_core_with_word_verdicts() {
+        let layouts: Vec<Layout> = (0..2).map(Layout::for_core).collect();
+        let fabric = Fabric::new(FabricConfig::default());
+        let mut m = Machine::new(Vec::new(), fabric, FlatMem::new(0, layout::mem_size(2)));
+        let word = |c: usize| layouts[c].data_base + 3 * 8;
+        m.mem.write_u64(word(0), 0xC0FF_EE00_1234_5678);
+        m.mem.write_u64(word(1), 0x0BAD_F00D_8765_4321);
+        for preset in ["none", "parity", "secded"] {
+            let protection: ProtectionConfig = preset.parse().unwrap();
+            let mut router = FaultRouter::new(layouts.clone(), protection, None);
+            for (core, bits) in [(1, &[5u8][..]), (0, &[5]), (1, &[5, 9]), (0, &[5, 9])] {
+                let class = crate::FaultClass::Transient;
+                let group: Vec<_> =
+                    FaultEvent::flips(0, FaultSite::DramLine, 3, class, bits).collect();
+                let before = [m.mem.read_u64(word(0)), m.mem.read_u64(word(1))];
+                let mask = bits.iter().fold(0, |a, &b| a ^ (1u64 << b));
+                let (got, flip) = match router.protect(core, &group, &mut m, 0) {
+                    Verdict::Landed => (WordVerdict::Applied, mask),
+                    Verdict::Corrected => (WordVerdict::Corrected, 0),
+                    Verdict::Detected { addr, mask: m, .. } if (addr, m) == (word(core), mask) => {
+                        (WordVerdict::Detected, 0)
+                    }
+                    other => panic!("{preset}: {other:?}"),
+                };
+                let want = match word_verdict(protection.dram_line, before[core], mask) {
+                    WordVerdict::PassedThrough => WordVerdict::Applied,
+                    want => want,
+                };
+                assert_eq!(got, want, "{preset}");
+                assert_eq!(m.mem.read_u64(word(core)), before[core] ^ flip, "{preset}");
+                assert_eq!(m.mem.read_u64(word(1 - core)), before[1 - core], "{preset}");
+            }
+        }
     }
 }

@@ -27,10 +27,12 @@
 //!   task that tripped the quarantine is re-dispatched to a healthy core
 //!   without being charged a retry. Every task resolves to exactly one
 //!   [`TaskOutcome`]: `completed + rejected + failed == submitted`, always.
-//! * **Fault campaign** — [`ServeFaultPlan`] injects seeded word upsets
+//! * **Fault campaign** — [`ServeFaultPlan`] plans seeded word upsets
 //!   into the data image of running tasks (single-bit transients and
-//!   double-bit bursts on "sticky" bad cores), routed through the PR-5
-//!   SEC-DED/parity protection model before they corrupt anything. An
+//!   double-bit bursts on "sticky" bad cores) and NoC link upsets, as
+//!   [`crate::FaultEvent`]s routed through the same per-core fault layer
+//!   as a single run: the SEC-DED/parity protection model before they
+//!   corrupt anything, the link CRC and, with RAS on, link retirement. An
 //!   independent golden-digest cross-check counts silent corruptions on
 //!   completed tasks even when verification is off.
 //! * **Repair & degraded mode (PR-8)** — [`ServeFaultPlan::stuck_cores`]
@@ -48,16 +50,16 @@
 //! millicore-cycles over total capacity), goodput, and per-epoch fabric
 //! traffic.
 
-use crate::ecc::{word_verdict, ProtectionConfig, ProtectionLevel, WordVerdict};
+use crate::ecc::ProtectionConfig;
 use crate::error::{RunDiagnostics, SimError};
 use crate::experiment::{CellData, RetryPolicy};
-use crate::fault::FaultSite;
+use crate::fault::{FaultClass, FaultEvent, FaultSite};
 use crate::machine::{CycleHook, Dispatch, Machine};
 use crate::offload::{check_region, offload};
-use crate::ras::{CeTracker, RasConfig};
+use crate::ras::RasConfig;
 use crate::runner::{
     arch_digest, engine_label, golden_arch_digest, golden_step_cap, try_verify_against_golden,
-    RunOptions,
+    FaultRouter, LinkVerdict, RunOptions, Verdict,
 };
 use crate::system::{system_config_error, ZERO_CORES};
 use crate::watchdog::{Watchdog, DEFAULT_LIVELOCK_CYCLES};
@@ -118,6 +120,8 @@ pub enum TaskOutcome {
 /// without changing the timing run. Routed through the per-site protection
 /// model first: under SEC-DED a single-bit transient corrects in place and
 /// a sticky double-bit burst raises detected-uncorrectable mid-attempt.
+/// Sticky and stuck cores, and the link campaign, turn on after the
+/// service's first four dispatches.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServeFaultPlan {
     /// Number of distinct tasks (seeded choice) whose *first* attempt
@@ -132,15 +136,18 @@ pub struct ServeFaultPlan {
     /// [`ServeConfig::ras`] enabled the service repairs (spare) or fences
     /// the region instead of quarantining the whole core.
     pub stuck_cores: usize,
-    /// Global dispatch count after which sticky/stuck cores turn bad (lets
-    /// the service warm up healthy before the campaign bites).
-    pub sticky_after: usize,
     /// Number of NoC link upsets injected over the run (one per dispatch
     /// after onset, hammering one link to the RAS CE threshold before
     /// moving to the next). Only lands when the shared fabric is a mesh
     /// ([`virec_mem::FabricTopology::Mesh`]); ignored on the crossbar.
+    /// Links retire only with [`ServeConfig::ras`] set.
     pub link_faults: usize,
 }
+
+/// Global dispatch count after which sticky/stuck cores and the link
+/// campaign turn bad: the service warms up healthy before the campaign
+/// bites.
+const STICKY_AFTER: usize = 4;
 
 impl ServeFaultPlan {
     /// No injected faults.
@@ -154,9 +161,7 @@ impl ServeFaultPlan {
         ServeFaultPlan {
             transient,
             sticky_cores,
-            stuck_cores: 0,
-            sticky_after: 4,
-            link_faults: 0,
+            ..ServeFaultPlan::default()
         }
     }
 
@@ -164,11 +169,8 @@ impl ServeFaultPlan {
     /// defects after a short warmup (the RAS repair/fence path's stimulus).
     pub fn stuck(stuck_cores: usize) -> ServeFaultPlan {
         ServeFaultPlan {
-            transient: 0,
-            sticky_cores: 0,
             stuck_cores,
-            sticky_after: 4,
-            link_faults: 0,
+            ..ServeFaultPlan::default()
         }
     }
 
@@ -176,11 +178,8 @@ impl ServeFaultPlan {
     /// links, exercising CRC/retransmission and predictive link retirement.
     pub fn links(link_faults: usize) -> ServeFaultPlan {
         ServeFaultPlan {
-            transient: 0,
-            sticky_cores: 0,
-            stuck_cores: 0,
-            sticky_after: 4,
             link_faults,
+            ..ServeFaultPlan::default()
         }
     }
 }
@@ -499,61 +498,38 @@ impl ServeReport {
     /// machine-readable `results/<name>.json` provenance format.
     pub fn metrics(&self) -> CellData {
         let mut m = vec![
-            ("submitted".to_string(), self.submitted as f64),
-            ("completed".to_string(), self.completed as f64),
-            (
-                "rejected_queue_full".to_string(),
-                self.rejected_queue_full as f64,
-            ),
-            (
-                "rejected_quarantined".to_string(),
-                self.rejected_quarantined as f64,
-            ),
-            ("failed".to_string(), self.failed as f64),
-            ("lost".to_string(), self.lost as f64),
-            ("duplicated".to_string(), self.duplicated as f64),
-            ("retries".to_string(), self.retries as f64),
-            ("failovers".to_string(), self.failovers as f64),
-            (
-                "quarantined_cores".to_string(),
-                self.quarantined_cores as f64,
-            ),
-            ("repairs".to_string(), self.repairs as f64),
-            ("fenced_cores".to_string(), self.fenced_cores as f64),
-            ("spares_consumed".to_string(), self.spares_consumed as f64),
-            ("faults_injected".to_string(), self.faults_injected as f64),
-            ("faults_corrected".to_string(), self.faults_corrected as f64),
-            (
-                "faults_uncorrectable".to_string(),
-                self.faults_uncorrectable as f64,
-            ),
-            (
-                "silent_corruptions".to_string(),
-                self.silent_corruptions as f64,
-            ),
-            ("cycles".to_string(), self.cycles as f64),
-            ("tasks_per_sec".to_string(), self.tasks_per_sec()),
-            ("p50_cycles".to_string(), self.p50() as f64),
-            ("p99_cycles".to_string(), self.p99() as f64),
-            ("p999_cycles".to_string(), self.p999() as f64),
-            ("availability".to_string(), self.availability()),
-            ("goodput".to_string(), self.goodput()),
+            ("submitted", self.submitted as f64),
+            ("completed", self.completed as f64),
+            ("rejected_queue_full", self.rejected_queue_full as f64),
+            ("rejected_quarantined", self.rejected_quarantined as f64),
+            ("failed", self.failed as f64),
+            ("lost", self.lost as f64),
+            ("duplicated", self.duplicated as f64),
+            ("retries", self.retries as f64),
+            ("failovers", self.failovers as f64),
+            ("quarantined_cores", self.quarantined_cores as f64),
+            ("repairs", self.repairs as f64),
+            ("fenced_cores", self.fenced_cores as f64),
+            ("spares_consumed", self.spares_consumed as f64),
+            ("faults_injected", self.faults_injected as f64),
+            ("faults_corrected", self.faults_corrected as f64),
+            ("faults_uncorrectable", self.faults_uncorrectable as f64),
+            ("silent_corruptions", self.silent_corruptions as f64),
+            ("cycles", self.cycles as f64),
+            ("tasks_per_sec", self.tasks_per_sec()),
+            ("p50_cycles", self.p50() as f64),
+            ("p99_cycles", self.p99() as f64),
+            ("p999_cycles", self.p999() as f64),
+            ("availability", self.availability()),
+            ("goodput", self.goodput()),
         ];
         if self.fabric.noc_hops > 0 {
-            m.push((
-                "noc_retransmissions".to_string(),
-                self.fabric.noc_retransmissions as f64,
-            ));
-            m.push((
-                "noc_links_retired".to_string(),
-                self.fabric.noc_links_retired as f64,
-            ));
-            m.push((
-                "noc_links_fenced".to_string(),
-                self.fabric.noc_links_fenced as f64,
-            ));
+            let f = &self.fabric;
+            m.push(("noc_retransmissions", f.noc_retransmissions as f64));
+            m.push(("noc_links_retired", f.noc_links_retired as f64));
+            m.push(("noc_links_fenced", f.noc_links_fenced as f64));
         }
-        CellData::Metrics(m)
+        CellData::Metrics(m.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 }
 
@@ -579,22 +555,15 @@ impl Task {
     }
 }
 
-/// A word upset scheduled against one attempt, applied `at` cycles after
-/// dispatch.
-#[derive(Clone, Copy, Debug)]
-struct AttemptFault {
-    at: u64,
-    addr: u64,
-    mask: u64,
-}
-
 /// The attempt a slot's core is running.
 struct InFlight {
     task: Task,
     watchdog: Watchdog,
     dispatched_at: u64,
     budget: u64,
-    fault: Option<AttemptFault>,
+    /// The word upset planned against this attempt: one same-cycle event
+    /// per flipped bit, routed before the tick of its cycle.
+    upset: Option<Vec<FaultEvent>>,
 }
 
 enum Slot {
@@ -637,9 +606,8 @@ struct Dispatcher {
     fenced: Vec<bool>,
     /// Spare regions left in the service-wide RAS pool.
     spares_left: u32,
-    /// Leaky-bucket CE counters over mesh NoC links (keys `(1<<62)|link`,
-    /// mirroring the runner's keying).
-    link_tracker: CeTracker,
+    /// Routes the campaign's word and link upsets on the slot's core.
+    router: FaultRouter,
     /// Remaining link upsets the campaign may inject.
     link_faults_left: usize,
     /// Current link-injection target (an opaque index the fabric reduces
@@ -695,24 +663,16 @@ impl TaskService {
                 transient_tasks.insert((plan_rng.next_u64() % cfg.tasks as u64) as usize);
             }
         }
-        let mut sticky = vec![false; cfg.ncores];
-        let mut picked = 0;
-        while picked < cfg.faults.sticky_cores.min(cfg.ncores) {
-            let c = (plan_rng.next_u64() % cfg.ncores as u64) as usize;
-            if !sticky[c] {
-                sticky[c] = true;
-                picked += 1;
+        // `n` distinct cores, drawing until that many are picked.
+        let mut pick_cores = |n: usize| {
+            let mut picked = vec![false; cfg.ncores];
+            while picked.iter().filter(|&&p| p).count() < n.min(cfg.ncores) {
+                picked[(plan_rng.next_u64() % cfg.ncores as u64) as usize] = true;
             }
-        }
-        let mut stuck = vec![false; cfg.ncores];
-        let mut picked = 0;
-        while picked < cfg.faults.stuck_cores.min(cfg.ncores) {
-            let c = (plan_rng.next_u64() % cfg.ncores as u64) as usize;
-            if !stuck[c] {
-                stuck[c] = true;
-                picked += 1;
-            }
-        }
+            picked
+        };
+        let sticky = pick_cores(cfg.faults.sticky_cores);
+        let stuck = pick_cores(cfg.faults.stuck_cores);
 
         let workloads: Vec<Vec<Workload>> = (0..cfg.ncores)
             .map(|slot| {
@@ -738,10 +698,11 @@ impl TaskService {
             stuck,
             fenced: vec![false; cfg.ncores],
             spares_left: cfg.ras.map_or(0, |rc| rc.spare_rows),
-            link_tracker: {
-                let rc = cfg.ras.unwrap_or_default();
-                CeTracker::new(rc.ce_threshold, rc.ce_leak_interval)
-            },
+            router: FaultRouter::new(
+                (0..cfg.ncores).map(Layout::for_core).collect(),
+                cfg.protection,
+                cfg.ras,
+            ),
             link_faults_left: cfg.faults.link_faults,
             link_target: cfg.seed | 1,
             transient_tasks,
@@ -895,14 +856,25 @@ impl CycleHook for Dispatcher {
                 continue;
             };
             let expired = inf.task.expired(deadline, now);
-            let due = inf.fault.take_if(|f| now - inf.dispatched_at >= f.at);
-            let aborted = due.and_then(|f| self.apply_fault(&mut m.mem, f));
-            if expired || aborted.is_some() {
-                m.cores[i] = self.parked_core(i);
+            let mut aborted = false;
+            if let Some(group) = inf.upset.take_if(|g| now >= g[0].cycle) {
+                self.report.faults_injected += 1;
+                match self.router.protect(i, &group, m, now) {
+                    Verdict::Corrected => self.report.faults_corrected += 1,
+                    Verdict::Detected {
+                        check, addr, mask, ..
+                    } => {
+                        self.report.faults_uncorrectable += 1;
+                        let detail = format!("{check} upset at {addr:#x} mask {mask:#x}");
+                        let kind = "uncorrectable";
+                        self.ended.push((i, AttemptEnd::Fail { kind, detail }));
+                        aborted = true;
+                    }
+                    Verdict::Landed | Verdict::NotApplied => {}
+                }
             }
-            if let Some(detail) = aborted {
-                let kind = "uncorrectable";
-                self.ended.push((i, AttemptEnd::Fail { kind, detail }));
+            if expired || aborted {
+                m.cores[i] = self.parked_core(i);
             }
         }
     }
@@ -976,8 +948,8 @@ impl CycleHook for Dispatcher {
         let mut due = arrival.min(repair).min(self.next_epoch);
         for slot in &self.slots {
             let Slot::Busy(inf) = slot else { continue };
-            if let Some(f) = inf.fault {
-                due = due.min(inf.dispatched_at + f.at);
+            if let Some(g) = &inf.upset {
+                due = due.min(g[0].cycle);
             }
             if deadline > 0 {
                 due = due.min(inf.task.arrival + deadline);
@@ -1112,9 +1084,9 @@ impl Dispatcher {
     fn dispatch(&mut self, m: &mut Machine, slot: usize, mut task: Task, now: u64) {
         task.attempts += 1;
         self.dispatches += 1;
-        self.inject_link_upset(&mut m.fabric, now);
+        self.inject_link_upset(m, now);
         Self::scrub(&mut m.mem, slot);
-        let fault = self.plan_attempt_fault(slot, &task);
+        let upset = self.plan_upset(slot, &task, now);
         let w = &self.workloads[slot][task.spec];
         let region = offload(&mut m.mem, w, self.cfg.core.nthreads);
         m.cores[slot] = Core::new(
@@ -1130,93 +1102,63 @@ impl Dispatcher {
             watchdog: Watchdog::new(DEFAULT_LIVELOCK_CYCLES),
             dispatched_at: now,
             budget,
-            fault,
+            upset,
         });
     }
 
-    /// Realizes one scheduled NoC link upset (dispatch-clocked, so both
+    /// Routes one scheduled NoC link upset (dispatch-clocked, so both
     /// step loops inject on exactly the same cycles): the target link's
-    /// next flit will arrive CRC-dirty and retransmit, and the service's
-    /// CE tracker retires the link — route-around or half-bandwidth fence
-    /// — once it crosses the RAS threshold. Crossbar fabrics have no
-    /// links; the campaign is inert there.
-    fn inject_link_upset(&mut self, fabric: &mut Fabric, now: u64) {
-        if self.link_faults_left == 0 || self.dispatches <= self.cfg.faults.sticky_after {
+    /// next flit will arrive CRC-dirty and retransmit, and with RAS on the
+    /// fault layer retires the link — route-around or half-bandwidth fence
+    /// — once it crosses the CE threshold. Crossbar fabrics have no links;
+    /// the campaign is inert there.
+    fn inject_link_upset(&mut self, m: &mut Machine, now: u64) {
+        if self.link_faults_left == 0 || self.dispatches <= STICKY_AFTER {
             return;
         }
-        let Some(link) = fabric.inject_link_fault(self.link_target) else {
-            // Crossbar, or the target already out of service: move on (the
-            // next dispatch attacks the advanced target).
-            if fabric.link_health().is_some() {
-                self.link_target = advance_link_target(self.link_target);
-            }
-            return;
+        // A marginal link: persistent, so it charges the CE tracker. It
+        // re-asserts on the dispatch clock, not on its period.
+        let period = FaultClass::DEFAULT_PERIOD;
+        let ev = FaultEvent {
+            cycle: now,
+            site: FaultSite::NocLink,
+            index: self.link_target,
+            bit: 0,
+            class: FaultClass::StuckAt { period },
         };
-        self.link_faults_left -= 1;
-        self.report.faults_injected += 1;
-        let key = (1u64 << 62) | link as u64;
-        if self.link_tracker.observe(key, now) {
-            self.link_tracker.clear(key);
-            let _ = fabric.retire_link(link);
+        let verdict = self.router.link_upset(&ev, m, now);
+        if verdict != LinkVerdict::NotApplied {
+            self.link_faults_left -= 1;
+            self.report.faults_injected += 1;
+        }
+        // A retired target, or one already out of service, moves the
+        // campaign on to the next link.
+        if verdict != LinkVerdict::Landed {
             self.link_target = advance_link_target(self.link_target);
         }
     }
 
-    /// Realizes the campaign for one attempt: sticky and stuck cores burst
-    /// two bits of one word, transient tasks flip one bit on their first
-    /// attempt.
-    fn plan_attempt_fault(&mut self, slot: usize, task: &Task) -> Option<AttemptFault> {
-        let onset = self.dispatches > self.cfg.faults.sticky_after;
-        let sticky = self.sticky[slot] && onset;
-        let stuck = self.stuck[slot] && onset;
+    /// Plans the campaign for one attempt dispatched at `now`: sticky and
+    /// stuck cores burst two bits of one word, transient tasks flip one
+    /// bit on their first attempt.
+    fn plan_upset(&mut self, slot: usize, task: &Task, now: u64) -> Option<Vec<FaultEvent>> {
+        let burst = (self.sticky[slot] || self.stuck[slot]) && self.dispatches > STICKY_AFTER;
         let transient = task.attempts == 1 && self.transient_tasks.contains(&task.id);
-        if !sticky && !stuck && !transient {
+        if !burst && !transient {
             return None;
         }
-        let w = &self.workloads[slot][task.spec];
-        // Tail of the data segment: bytes no kernel touches, so the flip
-        // perturbs the compared image without changing execution.
-        let addr = w.layout.data_base + w.layout.data_size - 64 + 8 * (self.rng.next_u64() % 8);
-        let b1 = (self.rng.next_u64() % 64) as u8;
-        let mask = if sticky || stuck {
-            let b2 = (b1 as u64 + 1 + self.rng.next_u64() % 63) % 64;
-            (1u64 << b1) | (1u64 << b2)
-        } else {
-            1u64 << b1
-        };
-        Some(AttemptFault {
-            at: 16 + self.rng.next_u64() % 240,
-            addr,
-            mask,
-        })
-    }
-
-    /// Routes one scheduled word upset through the protection model.
-    /// Returns the failure description when the upset was detected but
-    /// uncorrectable (the attempt must abort).
-    fn apply_fault(&mut self, mem: &mut FlatMem, fault: AttemptFault) -> Option<String> {
-        self.report.faults_injected += 1;
-        let level = self.cfg.protection.level(FaultSite::DramLine);
-        let word = mem.read_u64(fault.addr);
-        let mask = fault.mask;
-        match word_verdict(level, word, mask) {
-            WordVerdict::Applied | WordVerdict::PassedThrough => {
-                mem.write_u64(fault.addr, word ^ mask);
-                None
-            }
-            WordVerdict::Corrected => {
-                self.report.faults_corrected += 1;
-                None
-            }
-            WordVerdict::Detected => {
-                self.report.faults_uncorrectable += 1;
-                let what = match level {
-                    ProtectionLevel::Parity => "parity detected",
-                    _ => "secded detected double-bit",
-                };
-                Some(format!("{what} upset at {:#x} mask {mask:#x}", fault.addr))
-            }
+        // The last line of the data segment: words no kernel touches, so
+        // the flip perturbs the compared image without changing execution.
+        let index =
+            self.workloads[slot][task.spec].layout.data_size / 8 - 8 + self.rng.next_u64() % 8;
+        let b1 = self.rng.next_u64() % 64;
+        let mut bits = vec![b1 as u8];
+        if burst {
+            bits.push(((b1 + 1 + self.rng.next_u64() % 63) % 64) as u8);
         }
+        let cycle = now + 16 + self.rng.next_u64() % 240;
+        let class = FaultClass::Transient;
+        Some(FaultEvent::flips(cycle, FaultSite::DramLine, index, class, &bits).collect())
     }
 
     /// Resolves one ended attempt: completion (verify + silent-corruption
@@ -1297,7 +1239,7 @@ impl Dispatcher {
         // and the victim task re-dispatches for free, like a failover.
         // Without RAS the defect keeps firing until quarantine takes the
         // whole core (the pre-RAS behavior).
-        if self.stuck[slot] && self.dispatches > self.cfg.faults.sticky_after {
+        if self.stuck[slot] && self.dispatches > STICKY_AFTER {
             if let Some(rc) = self.cfg.ras {
                 self.stuck[slot] = false;
                 self.consec[slot] = 0;
@@ -1318,6 +1260,10 @@ impl Dispatcher {
             }
         }
         self.consec[slot] += 1;
+        let failed = TaskOutcome::Failed {
+            attempts: task.attempts,
+            kind,
+        };
         let quarantine_now = self.cfg.quarantine_after > 0
             && self.consec[slot] >= self.cfg.quarantine_after
             && !matches!(self.slots[slot], Slot::Quarantined);
@@ -1330,13 +1276,7 @@ impl Dispatcher {
                 self.report.failovers += 1;
                 self.queue.push_front(task);
             } else {
-                self.finish(
-                    task.id,
-                    TaskOutcome::Failed {
-                        attempts: task.attempts,
-                        kind,
-                    },
-                );
+                self.finish(task.id, failed);
             }
             return;
         }
@@ -1347,13 +1287,7 @@ impl Dispatcher {
                 self.report.retries += 1;
                 self.queue.push_front(task);
             }
-            _ => self.finish(
-                task.id,
-                TaskOutcome::Failed {
-                    attempts: task.attempts,
-                    kind,
-                },
-            ),
+            _ => self.finish(task.id, failed),
         }
     }
 
@@ -1504,13 +1438,7 @@ mod tests {
     #[test]
     fn transient_fault_is_detected_and_retried() {
         let mut cfg = quick_cfg(1, 6);
-        cfg.faults = ServeFaultPlan {
-            transient: 6,
-            sticky_cores: 0,
-            stuck_cores: 0,
-            sticky_after: 0,
-            link_faults: 0,
-        };
+        cfg.faults = ServeFaultPlan::campaign(6, 0);
         cfg.quarantine_after = 0; // isolate the retry path
         let r = run_service(cfg).unwrap();
         assert_eq!(r.faults_injected, 6);
@@ -1523,13 +1451,7 @@ mod tests {
     #[test]
     fn secded_corrects_single_bit_transients_in_place() {
         let mut cfg = quick_cfg(1, 6);
-        cfg.faults = ServeFaultPlan {
-            transient: 6,
-            sticky_cores: 0,
-            stuck_cores: 0,
-            sticky_after: 0,
-            link_faults: 0,
-        };
+        cfg.faults = ServeFaultPlan::campaign(6, 0);
         cfg.protection = ProtectionConfig::secded();
         let r = run_service(cfg).unwrap();
         assert_eq!(r.faults_corrected, 6);
@@ -1540,13 +1462,7 @@ mod tests {
     #[test]
     fn sticky_core_quarantines_and_fails_over() {
         let mut cfg = quick_cfg(2, 20);
-        cfg.faults = ServeFaultPlan {
-            transient: 0,
-            sticky_cores: 1,
-            stuck_cores: 0,
-            sticky_after: 2,
-            link_faults: 0,
-        };
+        cfg.faults = ServeFaultPlan::campaign(0, 1);
         cfg.protection = ProtectionConfig::secded();
         cfg.quarantine_after = 2;
         let r = run_service(cfg).unwrap();
@@ -1564,13 +1480,7 @@ mod tests {
     #[test]
     fn fully_quarantined_service_drains_with_rejections() {
         let mut cfg = quick_cfg(1, 15);
-        cfg.faults = ServeFaultPlan {
-            transient: 0,
-            sticky_cores: 1,
-            stuck_cores: 0,
-            sticky_after: 0,
-            link_faults: 0,
-        };
+        cfg.faults = ServeFaultPlan::campaign(0, 1);
         cfg.protection = ProtectionConfig::secded();
         cfg.quarantine_after = 1;
         cfg.retry = RetryPolicy::none();

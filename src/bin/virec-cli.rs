@@ -716,8 +716,9 @@ fn cmd_serve(f: &Flags) -> Result<ExitCode, String> {
             "error: --link-faults needs a mesh fabric (pass --topology mesh<C>x<R>)".into(),
         );
     }
-    if cfg.faults.stuck_cores > 0 {
-        // Stuck-at defects are only survivable with the RAS layer on.
+    if cfg.faults.stuck_cores > 0 || cfg.faults.link_faults > 0 {
+        // Stuck-at defects are only survivable, and worn links only
+        // retire, with the RAS layer on.
         let d = RasConfig::default();
         cfg.ras = Some(RasConfig {
             spare_rows: f.or("spare-rows", d.spare_rows)?,

@@ -88,13 +88,7 @@ fn double_rate_overload_sheds_typed_and_terminates() {
 #[test]
 fn fully_quarantined_fleet_drains_instead_of_deadlocking() {
     let mut cfg = base_cfg(CoreConfig::banked(2), 2, 60, 0xDEAD);
-    cfg.faults = ServeFaultPlan {
-        transient: 0,
-        sticky_cores: 2,
-        stuck_cores: 0,
-        sticky_after: 2,
-        link_faults: 0,
-    };
+    cfg.faults = ServeFaultPlan::campaign(0, 2);
     cfg.protection = ProtectionConfig::secded(); // double-bit: detected, uncorrectable
     cfg.quarantine_after = 2;
     let r = run_service(cfg).expect("drains");
